@@ -73,21 +73,26 @@ fn bench_functional_core(c: &mut Criterion) {
     group.finish();
 }
 
-/// Detailed out-of-order core speed (cycles/second).
+/// Detailed out-of-order core speed (cycles/second): a short Test-scale
+/// run and a Small-scale `mg` run (~1.2 M cycles) that keeps the ROB full.
 fn bench_ooo_core(c: &mut Criterion) {
-    let bench = build(BenchmarkId::Sobel, Scale::Test);
-    let mut probe = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
-    probe.run(u64::MAX);
-    let cycles = probe.stats.cycles;
     let mut group = c.benchmark_group("simulators");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(cycles));
-    group.bench_function("ooo_sobel_test", |b| {
-        b.iter(|| {
-            let mut core = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
-            core.run(u64::MAX)
+    for (id, scale, name) in [
+        (BenchmarkId::Sobel, Scale::Test, "ooo_sobel_test"),
+        (BenchmarkId::Mg, Scale::Small, "ooo_mg_small"),
+    ] {
+        let bench = build(id, scale);
+        let mut probe = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
+        probe.run(u64::MAX);
+        group.throughput(Throughput::Elements(probe.stats.cycles));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut core = OooCore::with_memory(&bench.program, OooConfig::default(), 8 << 20);
+                core.run(u64::MAX)
+            });
         });
-    });
+    }
     group.finish();
 }
 

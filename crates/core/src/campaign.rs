@@ -98,8 +98,6 @@ pub struct GoldenRun {
     pub arch_by_op: Vec<Vec<u64>>,
     /// Wrong-path (squashed) FP writebacks per operation type.
     pub squashed_by_op: Vec<u64>,
-    /// Detailed-core statistics of the golden run.
-    pub ooo_stats: tei_uarch::OooStats,
     /// Golden-run checkpoints for the fork-replay engine, shared by all
     /// campaign workers (cheap `Arc` clone).
     pub checkpoints: CheckpointPool,
@@ -186,7 +184,6 @@ impl GoldenRun {
             cycles: ooo.stats.cycles,
             arch_by_op,
             squashed_by_op,
-            ooo_stats: ooo.stats.clone(),
             checkpoints: recorder.finish(),
         })
     }

@@ -18,6 +18,7 @@ use crate::mem::Memory;
 use crate::sem;
 use crate::sem::{write_kind, DestKind};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use tei_isa::{FReg, Instr, Program, Reg, Syscall, DEFAULT_MEM_BYTES};
 use tei_softfloat::FpuConfig;
 
@@ -124,8 +125,8 @@ enum Src {
     None,
     /// Value available.
     Ready(u64),
-    /// Waiting on a ROB slot.
-    Rob(usize),
+    /// Waiting on the ROB entry with this dispatch sequence number.
+    Rob(u64),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,13 +156,23 @@ struct RobEntry {
     store_addr: u64,
     store_width: usize,
     store_ready: bool,
-    done_at: u64,
     /// Resolved next PC for control instructions.
     actual_next: Option<usize>,
     /// Speculative FP dynamic index (program order at dispatch).
     fp_index: Option<u64>,
     /// Saved rename-map entries for squash recovery.
-    prev_map: Option<(DestKind, Option<usize>)>,
+    prev_map: Option<(DestKind, Option<u64>)>,
+    /// Whether a queued entry was renamed to wait on this one.
+    has_waiters: bool,
+}
+
+impl RobEntry {
+    fn sources_ready(&self) -> bool {
+        self.srcs
+            .iter()
+            .chain(std::iter::once(&self.xsrc))
+            .all(|s| !matches!(s, Src::Rob(_)))
+    }
 }
 
 /// One FP writeback recorded on the golden timeline — what the injector
@@ -209,12 +220,25 @@ pub struct OooCore {
     pub output: Vec<u8>,
     fpu_cfg: FpuConfig,
 
-    rob: Vec<RobEntry>, // in-order queue, index 0 = oldest
-    map_x: [Option<usize>; 32],
-    map_f: [Option<usize>; 32],
+    /// In-order queue, front = oldest. Entry `rob[i]` carries dispatch
+    /// sequence number `head_seq + i`.
+    rob: VecDeque<RobEntry>,
+    /// Sequence number of the ROB head; every smaller sequence committed.
+    head_seq: u64,
+    /// Rename maps: sequence of the youngest in-flight producer, `None`
+    /// (or a committed sequence) for the architectural register file.
+    map_x: [Option<u64>; 32],
+    map_f: [Option<u64>; 32],
+    /// Sequences of dispatched, not-yet-issued entries, oldest first. Only
+    /// these entries hold `Src::Rob` tags.
+    iq: Vec<u64>,
+    /// The queued sequences whose sources are all available, oldest first.
+    ready: Vec<u64>,
+    /// `(completion cycle, sequence)` of every executing entry, oldest
+    /// first.
+    exec: Vec<(u64, u64)>,
     fetch_pc: usize,
     fetch_stalled: bool,
-    seq: u64,
     cycle: u64,
     fp_dispatch_count: u64,
     fp_commit_count: u64,
@@ -252,12 +276,15 @@ impl OooCore {
             mem: Memory::with_image(mem_bytes, &program.data),
             output: Vec::new(),
             fpu_cfg: FpuConfig { ftz: true },
-            rob: Vec::new(),
+            rob: VecDeque::new(),
+            head_seq: 0,
             map_x: [None; 32],
             map_f: [None; 32],
+            iq: Vec::new(),
+            ready: Vec::new(),
+            exec: Vec::new(),
             fetch_pc: program.entry,
             fetch_stalled: false,
-            seq: 0,
             cycle: 0,
             fp_dispatch_count: 0,
             fp_commit_count: 0,
@@ -318,11 +345,15 @@ impl OooCore {
 
     fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.first() else { return };
+            let Some(head) = self.rob.front() else { return };
             if head.stage != Stage::Done {
                 return;
             }
-            let e = self.rob.remove(0);
+            let e = self.rob.pop_front().expect("non-empty");
+            // Rename entries and recovery snapshots still naming this
+            // sequence now fall below `head_seq` and read the architectural
+            // file, which is updated below.
+            self.head_seq += 1;
             self.stats.committed += 1;
             // Precise exception.
             if let Some(trap) = e.exception {
@@ -377,33 +408,6 @@ impl OooCore {
             if e.actual_next.is_none() {
                 self.state.pc = e.pc + 1;
             }
-            // Clear rename entries that still point at this slot: all ROB
-            // indices shift down by one after remove(0).
-            for m in self.map_x.iter_mut().chain(self.map_f.iter_mut()) {
-                *m = match *m {
-                    Some(0) => None,
-                    Some(n) => Some(n - 1),
-                    None => None,
-                };
-            }
-            // Source tags and rename-recovery snapshots also shift.
-            for r in &mut self.rob {
-                for s in r.srcs.iter_mut().chain(std::iter::once(&mut r.xsrc)) {
-                    if let Src::Rob(n) = s {
-                        debug_assert!(*n > 0, "dangling source tag");
-                        *s = Src::Rob(*n - 1);
-                    }
-                }
-                if let Some((_, Some(n))) = &mut r.prev_map {
-                    if *n == 0 {
-                        // The previous producer committed; restore to the
-                        // architectural register file.
-                        r.prev_map = r.prev_map.map(|(k, _)| (k, None));
-                    } else {
-                        *n -= 1;
-                    }
-                }
-            }
         }
     }
 
@@ -440,11 +444,17 @@ impl OooCore {
     // ------------------------------------------------------------------
 
     fn writeback(&mut self, fp_hook: &mut dyn FnMut(&FpEvent) -> u64) {
+        // Completing entries write back oldest first.
         let mut squash_after: Option<(usize, usize)> = None; // (rob idx, redirect pc)
-        for idx in 0..self.rob.len() {
-            if self.rob[idx].stage != Stage::Executing || self.rob[idx].done_at > self.cycle {
+        let mut i = 0;
+        while i < self.exec.len() {
+            let (done_at, seq) = self.exec[i];
+            if done_at > self.cycle {
+                i += 1;
                 continue;
             }
+            self.exec.remove(i);
+            let idx = (seq - self.head_seq) as usize;
             let instr = self.rob[idx].instr;
             // FP writeback hook (injection point). Trapping operations
             // never write back and are invisible to the injector.
@@ -468,7 +478,6 @@ impl OooCore {
                     arch_index: None,
                 });
                 self.rob[idx].value = fp_hook(&ev);
-                let _ = op;
             }
             self.rob[idx].stage = Stage::Done;
             // Branch resolution.
@@ -479,19 +488,33 @@ impl OooCore {
                     squash_after = Some((idx, actual));
                 }
             }
-            // Wake up dependents.
-            let v = self.rob[idx].value;
-            for later in idx + 1..self.rob.len() {
-                let r = &mut self.rob[later];
-                for s in r.srcs.iter_mut().chain(std::iter::once(&mut r.xsrc)) {
-                    if *s == Src::Rob(idx) {
-                        *s = Src::Ready(v);
-                    }
-                }
+            if self.rob[idx].has_waiters {
+                self.wake_dependents(seq);
             }
         }
         if let Some((idx, redirect)) = squash_after {
             self.squash_younger_than(idx, redirect);
+        }
+    }
+
+    /// Forward the value of `producer` to the queued entries waiting on it
+    /// (only those hold tags) and mark the ones it completes ready.
+    fn wake_dependents(&mut self, producer: u64) {
+        let tag = Src::Rob(producer);
+        let v = self.rob[(producer - self.head_seq) as usize].value;
+        for &seq in &self.iq {
+            let e = &mut self.rob[(seq - self.head_seq) as usize];
+            let mut woken = false;
+            for s in e.srcs.iter_mut().chain(std::iter::once(&mut e.xsrc)) {
+                if *s == tag {
+                    *s = Src::Ready(v);
+                    woken = true;
+                }
+            }
+            if woken && e.sources_ready() {
+                let at = self.ready.partition_point(|&s| s < seq);
+                self.ready.insert(at, seq);
+            }
         }
     }
 
@@ -517,9 +540,16 @@ impl OooCore {
     fn squash_younger_than(&mut self, idx: usize, redirect: usize) {
         self.stats.mispredicts += 1;
         let mut min_fp: Option<u64> = None;
+        // The queues are in sequence order: squashed entries form their tails.
+        let keep = self.head_seq + idx as u64;
+        self.iq.truncate(self.iq.partition_point(|&s| s <= keep));
+        self.ready
+            .truncate(self.ready.partition_point(|&s| s <= keep));
+        self.exec
+            .truncate(self.exec.partition_point(|&(_, s)| s <= keep));
         // Restore rename state newest-first.
         while self.rob.len() > idx + 1 {
-            let e = self.rob.pop().expect("non-empty");
+            let e = self.rob.pop_back().expect("non-empty");
             self.stats.squashed += 1;
             if let Some((kind, prev)) = e.prev_map {
                 match kind {
@@ -554,16 +584,13 @@ impl OooCore {
         let mut alu_used = 0usize;
         let mut mem_used = false;
         let mut fp_used = false;
-        for idx in 0..self.rob.len() {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
-            if self.rob[idx].stage != Stage::Dispatched {
-                continue;
-            }
-            if !self.ready(idx) {
-                continue;
-            }
+        // Oldest-first over the entries whose sources are available: the
+        // same choices as a scan of the whole queue, which skips the rest.
+        let mut r = 0;
+        while r < self.ready.len() && issued < self.cfg.issue_width {
+            let seq = self.ready[r];
+            r += 1;
+            let idx = (seq - self.head_seq) as usize;
             let instr = self.rob[idx].instr;
             // Structural hazards.
             if instr.is_mem() {
@@ -581,11 +608,17 @@ impl OooCore {
             } else if alu_used >= self.cfg.alu_units {
                 continue;
             }
-            // Memory ordering: loads wait for older stores' addresses.
-            if is_load(&instr) && !self.older_stores_resolved(idx) {
+            // Memory ordering: loads wait for older stores' addresses. A
+            // store resolves its address when it issues, so the unresolved
+            // older stores are exactly those still queued ahead.
+            if is_load(&instr) && !self.older_stores_resolved(seq) {
                 continue;
             }
             if self.execute(idx) {
+                r -= 1;
+                self.ready.remove(r);
+                let q = self.iq.partition_point(|&s| s < seq);
+                self.iq.remove(q);
                 issued += 1;
                 match () {
                     _ if instr.is_mem() => mem_used = true,
@@ -604,18 +637,13 @@ impl OooCore {
         }
     }
 
-    fn ready(&self, idx: usize) -> bool {
-        let e = &self.rob[idx];
-        e.srcs
+    /// Whether no store older than `seq` is still queued, waiting for its
+    /// address.
+    fn older_stores_resolved(&self, seq: u64) -> bool {
+        self.iq
             .iter()
-            .chain(std::iter::once(&e.xsrc))
-            .all(|s| !matches!(s, Src::Rob(_)))
-    }
-
-    fn older_stores_resolved(&self, idx: usize) -> bool {
-        self.rob[..idx]
-            .iter()
-            .all(|e| !is_store(&e.instr) || e.store_ready || e.exception.is_some())
+            .take_while(|&&s| s < seq)
+            .all(|&s| !is_store(&self.rob[(s - self.head_seq) as usize].instr))
     }
 
     fn src_val(s: Src) -> u64 {
@@ -728,13 +756,15 @@ impl OooCore {
         e.value = value;
         e.exception = exception;
         e.stage = Stage::Executing;
-        e.done_at = self.cycle + lat;
+        let seq = self.head_seq + idx as u64;
+        let at = self.exec.partition_point(|&(_, s)| s < seq);
+        self.exec.insert(at, (self.cycle + lat, seq));
         true
     }
 
     fn load_with_forwarding(&mut self, idx: usize, addr: u64, width: usize) -> LoadOutcome {
         // Youngest older store overlapping this load.
-        for e in self.rob[..idx].iter().rev() {
+        for e in self.rob.range(..idx).rev() {
             if !is_store(&e.instr) || !e.store_ready {
                 continue;
             }
@@ -787,15 +817,10 @@ impl OooCore {
 
     fn fetch_dispatch(&mut self) {
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_stalled || self.rob.len() >= self.cfg.rob_entries {
-                return;
-            }
-            let in_iq = self
-                .rob
-                .iter()
-                .filter(|e| e.stage == Stage::Dispatched)
-                .count();
-            if in_iq >= self.cfg.iq_entries {
+            if self.fetch_stalled
+                || self.rob.len() >= self.cfg.rob_entries
+                || self.iq.len() >= self.cfg.iq_entries
+            {
                 return;
             }
             let pc = self.fetch_pc;
@@ -833,8 +858,8 @@ impl OooCore {
                 return;
             }
             if instr.is_control() {
-                let last = self.rob.len() - 1;
-                self.rob[last].branch = Some(BranchInfo { pred_next });
+                let last = self.rob.back_mut().expect("just dispatched");
+                last.branch = Some(BranchInfo { pred_next });
             }
             self.fetch_pc = pred_next;
             if instr.is_control() && pred_next != pc + 1 {
@@ -846,6 +871,11 @@ impl OooCore {
 
     fn push_entry(&mut self, pc: usize, instr: Instr, exception: Option<Trap>) {
         let (srcs, xsrc) = self.rename_sources(&instr);
+        for s in srcs.iter().chain(std::iter::once(&xsrc)) {
+            if let Src::Rob(p) = *s {
+                self.rob[(p - self.head_seq) as usize].has_waiters = true;
+            }
+        }
         let dest = write_kind(&instr);
         let prev = match dest {
             DestKind::Int(r) => Some((dest, self.map_x[r.num() as usize])),
@@ -858,7 +888,8 @@ impl OooCore {
             i
         });
         let done = exception.is_some() || matches!(instr, Instr::Ecall | Instr::Halt);
-        self.rob.push(RobEntry {
+        let seq = self.head_seq + self.rob.len() as u64;
+        let entry = RobEntry {
             pc,
             instr,
             stage: if done { Stage::Done } else { Stage::Dispatched },
@@ -870,17 +901,38 @@ impl OooCore {
             store_addr: 0,
             store_width: 0,
             store_ready: false,
-            done_at: self.cycle,
             actual_next: None,
             fp_index,
             prev_map: prev,
-        });
-        self.seq += 1;
-        let slot = self.rob.len() - 1;
+            has_waiters: false,
+        };
+        if !done {
+            self.iq.push(seq);
+            if entry.sources_ready() {
+                self.ready.push(seq);
+            }
+        }
+        self.rob.push_back(entry);
         match dest {
-            DestKind::Int(r) if r != Reg::ZERO => self.map_x[r.num() as usize] = Some(slot),
-            DestKind::Fp(r) => self.map_f[r.num() as usize] = Some(slot),
+            DestKind::Int(r) if r != Reg::ZERO => self.map_x[r.num() as usize] = Some(seq),
+            DestKind::Fp(r) => self.map_f[r.num() as usize] = Some(seq),
             _ => {}
+        }
+    }
+
+    /// Source operand for a register renamed to `producer`; `arch` is the
+    /// committed register value.
+    fn rename_read(&self, producer: Option<u64>, arch: u64) -> Src {
+        match producer {
+            Some(seq) if seq >= self.head_seq => {
+                let e = &self.rob[(seq - self.head_seq) as usize];
+                if e.stage == Stage::Done {
+                    Src::Ready(e.value)
+                } else {
+                    Src::Rob(seq)
+                }
+            }
+            _ => Src::Ready(arch),
         }
     }
 
@@ -888,31 +940,11 @@ impl OooCore {
         if r == Reg::ZERO {
             return Src::Ready(0);
         }
-        match self.map_x[r.num() as usize] {
-            None => Src::Ready(self.state.x(r)),
-            Some(slot) => {
-                let e = &self.rob[slot];
-                if e.stage == Stage::Done {
-                    Src::Ready(e.value)
-                } else {
-                    Src::Rob(slot)
-                }
-            }
-        }
+        self.rename_read(self.map_x[r.num() as usize], self.state.x(r))
     }
 
     fn read_f(&self, r: FReg) -> Src {
-        match self.map_f[r.num() as usize] {
-            None => Src::Ready(self.state.f(r)),
-            Some(slot) => {
-                let e = &self.rob[slot];
-                if e.stage == Stage::Done {
-                    Src::Ready(e.value)
-                } else {
-                    Src::Rob(slot)
-                }
-            }
-        }
+        self.rename_read(self.map_f[r.num() as usize], self.state.f(r))
     }
 
     fn rename_sources(&self, i: &Instr) -> ([Src; 2], Src) {
