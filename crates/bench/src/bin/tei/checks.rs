@@ -76,7 +76,7 @@ fn emit_unit(unit: &tei_fpu::FpuUnit, dir: &std::path::Path) -> bool {
 /// against the freshly regenerated netlist, and bit-identical to the
 /// interpreter over a fixed-seed operand batch at the default width.
 fn check_unit(unit: &tei_fpu::FpuUnit, clk: f64) -> bool {
-    use tei_core::dev::{dta_campaign_tuned, random_operand_pairs, DtaTuning, KernelBackend};
+    use tei_core::dev::{dta_campaign, random_operand_pairs, DtaTuning, KernelBackend};
     use tei_timing::VoltageReduction;
 
     let fingerprint = unit.dta_compiled().fingerprint();
@@ -104,7 +104,7 @@ fn check_unit(unit: &tei_fpu::FpuUnit, clk: f64) -> bool {
             backend,
             ..DtaTuning::default()
         };
-        dta_campaign_tuned(unit, &pairs, clk, &levels, 1, tuning)
+        dta_campaign(unit, &pairs, clk, &levels, 1, tuning)
             .map(|stats| serde_json::to_string(&stats).expect("stats serialize"))
     };
     match (

@@ -164,37 +164,6 @@ pub fn default_backend() -> crate::dev::KernelBackend {
     }
 }
 
-/// Surrogate tiering mode for DTA campaigns (see
-/// [`crate::dev::SurrogateMode`]): `off` runs exact DTA on every pair,
-/// `filter` skips only transitions the fitted surrogate classifies as
-/// confidently safe (byte-identical-or-refuse; a seeded audit fraction
-/// still runs exact, and any audit miscalibration falls back loudly to
-/// exact DTA), `full` trusts the surrogate's predicted masks wherever it
-/// is confident (approximate; for sweep-scale exploration). Override with
-/// `TEI_SURROGATE`. Unrecognized values warn once and fall back to `off`.
-pub fn default_surrogate() -> crate::dev::SurrogateMode {
-    use crate::dev::SurrogateMode;
-    match std::env::var("TEI_SURROGATE") {
-        Ok(v) => match v.trim() {
-            "off" => SurrogateMode::Off,
-            "filter" => SurrogateMode::Filter,
-            "full" => SurrogateMode::Full,
-            other => {
-                warn_once(
-                    "TEI_SURROGATE",
-                    &format!("unknown mode {other:?} (supported: off, filter, full), using off"),
-                );
-                SurrogateMode::Off
-            }
-        },
-        Err(std::env::VarError::NotPresent) => SurrogateMode::Off,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            warn_once("TEI_SURROGATE", "non-unicode value, using off");
-            SurrogateMode::Off
-        }
-    }
-}
-
 /// True when `TEI_KERNEL_FORCE=1` pins the requested kernel backend even
 /// where a measured-faster one exists (currently: `TEI_KERNEL=codegen` at
 /// lane width 1, where the interpreter is faster — see BENCH_dta.json).
@@ -332,15 +301,6 @@ pub fn validate_env() -> Result<(), TeiError> {
             });
         }
     }
-    if let Ok(v) = std::env::var("TEI_SURROGATE") {
-        let v = v.trim();
-        if !matches!(v, "off" | "filter" | "full") {
-            return Err(TeiError::Config {
-                knob: "TEI_SURROGATE".to_string(),
-                reason: format!("unknown mode {v:?} (supported: off, filter, full)"),
-            });
-        }
-    }
     if let Ok(v) = std::env::var("TEI_KERNEL_FORCE") {
         let v = v.trim();
         if !matches!(v, "0" | "1") {
@@ -430,21 +390,6 @@ mod tests {
         assert!(validate_env().is_ok());
         std::env::remove_var("TEI_FABRIC_TICK");
         assert_eq!(default_fabric_tick(), std::time::Duration::from_millis(200));
-        assert!(validate_env().is_ok());
-        std::env::set_var("TEI_SURROGATE", "predictive");
-        let err = validate_env().unwrap_err();
-        assert!(err.to_string().contains("TEI_SURROGATE"));
-        // The non-validating read warns once and falls back to off.
-        assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Off);
-        assert!(warned_knobs().contains("TEI_SURROGATE"));
-        std::env::set_var("TEI_SURROGATE", "filter");
-        assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Filter);
-        assert!(validate_env().is_ok());
-        std::env::set_var("TEI_SURROGATE", "full");
-        assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Full);
-        assert!(validate_env().is_ok());
-        std::env::remove_var("TEI_SURROGATE");
-        assert_eq!(default_surrogate(), crate::dev::SurrogateMode::Off);
         assert!(validate_env().is_ok());
         std::env::set_var("TEI_KERNEL_FORCE", "yes");
         let err = validate_env().unwrap_err();

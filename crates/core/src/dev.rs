@@ -8,6 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
@@ -363,13 +364,6 @@ pub struct DtaTuning {
     /// Arrival-engine backend (see [`KernelBackend`]). Defaults to
     /// [`config::default_backend`] (`TEI_KERNEL`, auto when unset).
     pub backend: KernelBackend,
-    /// Surrogate tiering mode (see [`SurrogateMode`]). Defaults to
-    /// [`config::default_surrogate`] (`TEI_SURROGATE`, off when unset).
-    /// Only [`dta_campaign_predictive`] consults it — the exact campaign
-    /// entry points ignore the field entirely, so `filter`'s
-    /// byte-identical contract (and `full`'s approximation) can never
-    /// leak into a caller that did not opt into the predictive path.
-    pub surrogate: SurrogateMode,
 }
 
 impl Default for DtaTuning {
@@ -378,28 +372,8 @@ impl Default for DtaTuning {
             prune: PrunePolicy::Auto,
             lanes: config::default_lanes(),
             backend: config::default_backend(),
-            surrogate: config::default_surrogate(),
         }
     }
-}
-
-/// Tiering mode of the predict-then-verify DTA pipeline
-/// ([`dta_campaign_predictive`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SurrogateMode {
-    /// Exact DTA on every transition (the surrogate is not consulted).
-    #[default]
-    Off,
-    /// Skip only transitions the surrogate classifies as confidently
-    /// safe; everything else — and a seeded audit fraction of the safe
-    /// band — runs exact DTA. Byte-identical-or-refuse: any audit
-    /// miscalibration triggers a loud fallback to the full exact
-    /// campaign, so the returned statistics are never silently wrong.
-    Filter,
-    /// Additionally trust the surrogate's predicted error masks wherever
-    /// it is confident (approximate; audited the same way). For
-    /// sweep-scale exploration, not for model building.
-    Full,
 }
 
 /// Construct the arrival engine that drives DTA over `unit` at `lanes`
@@ -492,8 +466,8 @@ fn live_bits(
 }
 
 /// Output bits per VR level that the static slack oracle proves safe for
-/// `unit` at clock period `clk` — the work [`DtaTuning::prune_safe_bits`]
-/// removes from every transition of a campaign.
+/// `unit` at clock period `clk` — the work safe-bit pruning
+/// ([`DtaTuning::prune`]) removes from every transition of a campaign.
 pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) -> Vec<usize> {
     let compiled = unit.dta_compiled();
     let outputs = unit.result_port();
@@ -519,10 +493,6 @@ pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) ->
 /// noise) are clamped to the clock period: they fail under any voltage
 /// reduction but never at nominal. Masks accumulate uncapped here;
 /// [`finalize_masks`] applies the reservoir cap after shards merge.
-///
-/// Returns the OR of the per-corner error masks — zero iff the
-/// transition was error-free at every requested corner (the signal the
-/// predictive pipeline's audit check consumes).
 fn accumulate_transition(
     stats: &mut [OpErrorStats],
     factors: &[f64],
@@ -530,10 +500,9 @@ fn accumulate_transition(
     outputs: &[NetId],
     clk: f64,
     engine: &dyn ArrivalEngine,
-) -> u64 {
+) {
     #[cfg(not(feature = "sanitize-arrivals"))]
     let _ = outputs;
-    let mut any = 0u64;
     for ((s, &k), bits) in stats.iter_mut().zip(factors).zip(live) {
         s.samples += 1;
         let mut mask = 0u64;
@@ -564,9 +533,7 @@ fn accumulate_transition(
             *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
             s.masks.push(mask);
         }
-        any |= mask;
     }
-    any
 }
 
 /// Reduce oversized mask libraries to `cap` entries with in-place
@@ -706,6 +673,146 @@ fn run_chunked<S>(
     Ok(merged)
 }
 
+/// How a campaign lays its items into bit-sliced windows — the one
+/// thing the full-trace and sampled entry points do differently.
+#[derive(Clone, Copy)]
+enum Walk<'a> {
+    /// Item `t` is the transition `pairs[t] → pairs[t+1]`. A window
+    /// packs consecutive vectors and analyzes every adjacent pair.
+    Chained(&'a [(u64, u64)]),
+    /// Item `j` is the transition `trace[indices[j]-1] →
+    /// trace[indices[j]]`. Sampled transitions are disjoint, so a
+    /// window packs `prev, cur` vector pairs and analyzes the even
+    /// transitions only (odd lanes straddle unrelated samples).
+    Sampled {
+        trace: &'a [(u64, u64)],
+        indices: &'a [usize],
+    },
+}
+
+impl Walk<'_> {
+    /// Transitions the campaign analyzes.
+    fn items(self) -> usize {
+        match self {
+            Walk::Chained(pairs) => pairs.len().saturating_sub(1),
+            Walk::Sampled { indices, .. } => indices.len(),
+        }
+    }
+
+    /// Items one window of `vectors` input vectors analyzes.
+    fn per_window(self, vectors: usize) -> usize {
+        match self {
+            Walk::Chained(_) => vectors - 1,
+            Walk::Sampled { .. } => vectors / 2,
+        }
+    }
+
+    /// Feed items `range` through the worker's engine window by
+    /// window, calling `tally` once per analyzed transition in item
+    /// order.
+    fn run(
+        self,
+        unit: &FpuUnit,
+        range: Range<usize>,
+        s: &mut EngineScratch,
+        mut tally: impl FnMut(&dyn ArrivalEngine),
+    ) {
+        let width = unit.input_width();
+        match self {
+            Walk::Chained(pairs) => {
+                // Consecutive windows overlap one vector, so every
+                // transition in `range` is covered exactly once.
+                let mut start = range.start;
+                while start < range.end {
+                    let count = (range.end - start + 1).min(s.engine.window_vectors());
+                    for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
+                        unit.encode_inputs_into(a, b, &mut s.flat[v * width..(v + 1) * width]);
+                    }
+                    s.engine.load_window(&s.flat[..count * width], count);
+                    for t in 0..count - 1 {
+                        s.engine.select_transition(t);
+                        tally(s.engine.as_ref());
+                    }
+                    start += count - 1;
+                }
+            }
+            Walk::Sampled { trace, indices } => {
+                for chunk in indices[range].chunks(s.engine.window_vectors() / 2) {
+                    for (j, &i) in chunk.iter().enumerate() {
+                        assert!(i >= 1 && i < trace.len(), "sample index out of range");
+                        let lo = 2 * j * width;
+                        let (prev, cur) = (trace[i - 1], trace[i]);
+                        unit.encode_inputs_into(prev.0, prev.1, &mut s.flat[lo..lo + width]);
+                        unit.encode_inputs_into(
+                            cur.0,
+                            cur.1,
+                            &mut s.flat[lo + width..lo + 2 * width],
+                        );
+                    }
+                    let count = chunk.len() * 2;
+                    s.engine.load_window(&s.flat[..count * width], count);
+                    for j in 0..chunk.len() {
+                        s.engine.select_transition(2 * j);
+                        tally(s.engine.as_ref());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The body both campaign entry points share: resolve the lane width
+/// and validate the engine (so config errors surface before any worker
+/// spawns), resolve pruning into per-corner live bits, then walk
+/// contiguous chunks of items across `threads` workers and merge them
+/// in chunk order, which reproduces the serial walk byte for byte.
+/// Each chunk re-establishes circuit state from its own first vector.
+fn run_dta_campaign(
+    unit: &FpuUnit,
+    clk: f64,
+    levels: &[VoltageReduction],
+    threads: usize,
+    tuning: DtaTuning,
+    walk: Walk,
+) -> Result<Vec<OpErrorStats>, TeiError> {
+    let lanes = resolve_lanes(
+        tuning.lanes,
+        tuning.backend,
+        tei_kernels::registry().covers(unit),
+    );
+    drop(dta_engine(unit, lanes, tuning.backend)?);
+    let outputs = unit.result_port();
+    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
+    let prune = resolve_prune(unit, clk, levels, tuning.prune);
+    let live = live_bits(unit.dta_compiled(), outputs, &factors, clk, prune.enabled);
+
+    let items = walk.items();
+    let vectors = lanes * 64;
+    let span = CHUNK_WINDOWS * walk.per_window(vectors);
+    let empty = || empty_stats(unit, levels, outputs.len());
+    let make_scratch = || EngineScratch {
+        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
+        flat: vec![false; vectors * unit.input_width()],
+    };
+    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
+        let mut stats = empty();
+        let range = ci * span..((ci + 1) * span).min(items);
+        walk.run(unit, range, scratch, |engine| {
+            accumulate_transition(&mut stats, &factors, &live, outputs, clk, engine);
+        });
+        stats
+    };
+    let mut stats = run_chunked(
+        items.div_ceil(span),
+        threads,
+        make_scratch,
+        empty,
+        run_chunk,
+    )?;
+    finalize_masks(&mut stats);
+    Ok(stats)
+}
+
 /// Run a DTA campaign for one unit over an operand-pair stream, producing
 /// stats for every requested VR level in one pass (uniform derating lets a
 /// single settle computation be re-thresholded per corner).
@@ -713,954 +820,64 @@ fn run_chunked<S>(
 /// The first pair only establishes circuit state; transition `k` is
 /// `pairs[k] → pairs[k+1]`, the chained access pattern the compiled
 /// [`ArrivalKernel`] advances without re-evaluating unchanged cones.
-/// Work is distributed in chunks across `TEI_THREADS` worker threads
-/// (default: all cores); the parallel output is byte-identical to the
-/// single-threaded one.
+/// Work is distributed in chunks across `threads` worker threads; the
+/// parallel output is byte-identical to the single-threaded one.
+///
+/// `tuning` never changes the produced statistics — only how much work
+/// the inner loop performs, how wide its lane words are, and which
+/// engine backend runs it. [`DtaTuning::default`] is [`PrunePolicy::Auto`]
+/// with the `TEI_LANES` lane width and the `TEI_KERNEL` backend.
+///
+/// [`ArrivalKernel`]: tei_timing::ArrivalKernel
 ///
 /// # Errors
 ///
+/// [`TeiError::Config`] for a lane width outside
+/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
 /// [`TeiError::WorkerPool`] when a campaign worker panics.
 pub fn dta_campaign(
     unit: &FpuUnit,
     pairs: &[(u64, u64)],
     clk: f64,
     levels: &[VoltageReduction],
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    dta_campaign_with_threads(unit, pairs, clk, levels, config::default_threads())
-}
-
-/// [`dta_campaign`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_with_threads(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
-    threads: usize,
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    dta_campaign_tuned(unit, pairs, clk, levels, threads, DtaTuning::default())
-}
-
-/// [`dta_campaign_with_threads`] with explicit [`DtaTuning`]. Tuning
-/// never changes the produced statistics — only how much work the inner
-/// loop performs, how wide its lane words are, and which engine backend
-/// runs it; the default (safe-bit pruning on, `TEI_LANES` lane words,
-/// `TEI_KERNEL` backend) is what every other entry point uses.
-///
-/// # Errors
-///
-/// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_tuned(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
     threads: usize,
     tuning: DtaTuning,
 ) -> Result<Vec<OpErrorStats>, TeiError> {
-    // Resolve the tuning into an engine once up front so config errors
-    // surface before any worker threads spawn; workers then build their
-    // own engine from the validated tuning.
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    drop(dta_engine(unit, lanes, tuning.backend)?);
-    let outputs = unit.result_port().to_vec();
-    if pairs.len() < 2 {
-        return Ok(empty_stats(unit, levels, outputs.len()));
-    }
-    let compiled = unit.dta_compiled();
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(compiled, &outputs, &factors, clk, prune.enabled);
-
-    // Transition t is pairs[t] → pairs[t+1]. Chunk ci covers the
-    // contiguous transitions [ci*span, (ci+1)*span), each chunk
-    // re-establishing circuit state from its first pair (a one-pair
-    // overlap with the previous chunk), so merging chunk results in
-    // index order reproduces the serial walk.
-    let transitions = pairs.len() - 1;
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let span = CHUNK_WINDOWS * (window_vectors - 1);
-    let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
-    };
-    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
-        let lo = ci * span;
-        let hi = ((ci + 1) * span).min(transitions);
-        let mut stats = empty_stats(unit, levels, outputs.len());
-        // Bit-sliced windows over the chunk's vectors, overlapping one
-        // vector so every transition lo..hi is covered exactly once.
-        let mut start = lo;
-        while start < hi {
-            let count = (hi - start + 1).min(window_vectors);
-            for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-                unit.encode_inputs_into(a, b, &mut scratch.flat[v * width..(v + 1) * width]);
-            }
-            scratch
-                .engine
-                .load_window(&scratch.flat[..count * width], count);
-            for t in 0..count - 1 {
-                scratch.engine.select_transition(t);
-                accumulate_transition(
-                    &mut stats,
-                    &factors,
-                    &live,
-                    &outputs,
-                    clk,
-                    scratch.engine.as_ref(),
-                );
-            }
-            start += count - 1;
-        }
-        stats
-    };
-
-    let mut stats = run_chunked(
-        transitions.div_ceil(span),
-        threads,
-        make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
-        run_chunk,
-    )?;
-    finalize_masks(&mut stats);
-    Ok(stats)
+    run_dta_campaign(unit, clk, levels, threads, tuning, Walk::Chained(pairs))
 }
 
 /// DTA over a *sampled subset* of a trace: each sampled index `i ≥ 1`
 /// is analyzed as the transition `trace[i-1] → trace[i]`, preserving the
 /// true previous circuit state of every sampled dynamic instruction (the
-/// paper's "randomly extracted" characterization). Chunks across
-/// `TEI_THREADS` worker threads with output identical to the serial walk.
+/// paper's "randomly extracted" characterization). Statistics follow
+/// index order; threads and tuning act as in [`dta_campaign`].
 ///
 /// # Errors
 ///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
+/// As [`dta_campaign`].
+///
+/// # Panics
+///
+/// Panics when an index is 0 or past the trace end. With more than
+/// one thread the panic happens in a worker and returns as
+/// [`TeiError::WorkerPool`] instead.
 pub fn dta_campaign_sampled(
     unit: &FpuUnit,
     trace: &[(u64, u64)],
     indices: &[usize],
     clk: f64,
     levels: &[VoltageReduction],
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    dta_campaign_sampled_with_threads(unit, trace, indices, clk, levels, config::default_threads())
-}
-
-/// [`dta_campaign_sampled`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_sampled_with_threads(
-    unit: &FpuUnit,
-    trace: &[(u64, u64)],
-    indices: &[usize],
-    clk: f64,
-    levels: &[VoltageReduction],
     threads: usize,
+    tuning: DtaTuning,
 ) -> Result<Vec<OpErrorStats>, TeiError> {
-    // Sampled campaigns follow the default tuning (`TEI_LANES`,
-    // `TEI_KERNEL`); the result is bit-identical for every setting.
-    dta_campaign_sampled_tuned(
+    run_dta_campaign(
         unit,
-        trace,
-        indices,
         clk,
         levels,
         threads,
-        DtaTuning::default(),
+        tuning,
+        Walk::Sampled { trace, indices },
     )
-}
-
-/// [`dta_campaign_sampled_with_threads`] with explicit [`DtaTuning`].
-///
-/// # Errors
-///
-/// [`TeiError::Config`] for a lane width outside
-/// [`config::SUPPORTED_LANES`] or an unsatisfiable backend requirement;
-/// [`TeiError::WorkerPool`] when a campaign worker panics.
-pub fn dta_campaign_sampled_tuned(
-    unit: &FpuUnit,
-    trace: &[(u64, u64)],
-    indices: &[usize],
-    clk: f64,
-    levels: &[VoltageReduction],
-    threads: usize,
-    tuning: DtaTuning,
-) -> Result<Vec<OpErrorStats>, TeiError> {
-    // Validate up front (and fail instead of silently coercing an
-    // unsupported lane width); workers build from the validated tuning.
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    drop(dta_engine(unit, lanes, tuning.backend)?);
-    let outputs = unit.result_port().to_vec();
-    let compiled = unit.dta_compiled();
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(compiled, &outputs, &factors, clk, prune.enabled);
-
-    // Sampled transitions are disjoint, so each window packs
-    // `prev, cur` vector pairs and analyzes the even transitions only
-    // (odd lanes straddle unrelated samples). Chunk ci covers a
-    // contiguous run of sample indices; index order is preserved.
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let samples_per_window = window_vectors / 2;
-    let span = CHUNK_WINDOWS * samples_per_window;
-    let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
-    };
-    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
-        let slice = &indices[ci * span..((ci + 1) * span).min(indices.len())];
-        let mut stats = empty_stats(unit, levels, outputs.len());
-        for chunk in slice.chunks(samples_per_window) {
-            let count = chunk.len() * 2;
-            for (j, &i) in chunk.iter().enumerate() {
-                assert!(i >= 1 && i < trace.len(), "sample index out of range");
-                let lo = (2 * j) * width;
-                unit.encode_inputs_into(
-                    trace[i - 1].0,
-                    trace[i - 1].1,
-                    &mut scratch.flat[lo..lo + width],
-                );
-                unit.encode_inputs_into(
-                    trace[i].0,
-                    trace[i].1,
-                    &mut scratch.flat[lo + width..lo + 2 * width],
-                );
-            }
-            scratch
-                .engine
-                .load_window(&scratch.flat[..count * width], count);
-            for j in 0..chunk.len() {
-                scratch.engine.select_transition(2 * j);
-                accumulate_transition(
-                    &mut stats,
-                    &factors,
-                    &live,
-                    &outputs,
-                    clk,
-                    scratch.engine.as_ref(),
-                );
-            }
-        }
-        stats
-    };
-
-    let mut stats = run_chunked(
-        indices.len().div_ceil(span),
-        threads,
-        make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
-        run_chunk,
-    )?;
-    finalize_masks(&mut stats);
-    Ok(stats)
-}
-
-// ---------------------------------------------------------------------
-// Predict-then-verify tiering: surrogate fit, predictive campaign,
-// fidelity measurement, and fingerprint-checked model persistence.
-// ---------------------------------------------------------------------
-
-/// Default audit fraction of surrogate-skipped transitions that run
-/// exact DTA anyway: 1/32 keeps the skip savings while sampling the
-/// "confidently safe" band densely enough that a drifted model is
-/// caught within a few thousand transitions.
-pub const DEFAULT_AUDIT_FRACTION: f64 = 1.0 / 32.0;
-
-/// Audit policy of the predictive campaign: which surrogate-handled
-/// transitions are *also* exact-evaluated to cross-check the model.
-/// The draw is a pure function of `(audit_seed, transition index)`, so
-/// it is independent of lane width, thread count, and chunk boundaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SurrogateRun {
-    /// Fraction of surrogate-handled transitions audited (0 disables
-    /// auditing — ablation use only; the default is
-    /// [`DEFAULT_AUDIT_FRACTION`]).
-    pub audit_fraction: f64,
-    /// Seed of the per-transition audit draw.
-    pub audit_seed: u64,
-}
-
-impl Default for SurrogateRun {
-    fn default() -> Self {
-        SurrogateRun {
-            audit_fraction: DEFAULT_AUDIT_FRACTION,
-            audit_seed: 0x5eed_a0d1_7ea1,
-        }
-    }
-}
-
-impl SurrogateRun {
-    /// Whether transition `t` is audited under this policy. The draw is
-    /// made per 64-transition *block* (`t / 64`), not per transition:
-    /// audited spans are then contiguous and pack into bit-sliced
-    /// windows at ~1 vector per transition, where scattered singleton
-    /// audits would cost 2 vectors plus a seam each. The expected
-    /// audited fraction is unchanged.
-    fn audited(&self, t: usize) -> bool {
-        // 53-bit threshold comparison against a SplitMix64 draw keeps
-        // the decision exact in f64 and chunk/thread-independent.
-        let threshold = (self.audit_fraction.clamp(0.0, 1.0) * (1u64 << 53) as f64) as u64;
-        (splitmix64(self.audit_seed ^ (t as u64 >> 6)) >> 11) < threshold
-    }
-}
-
-/// SplitMix64 mixer (the same finalizer the derating jitter and chaos
-/// schedules use) — a stateless, high-quality hash of one `u64`.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// What the predictive campaign actually did, alongside its statistics:
-/// how many transitions the surrogate absorbed, how many ran exact, and
-/// whether the audit tripped a fallback.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SurrogateReport {
-    /// Tiering mode that ran (`off`, `filter`, `full`).
-    pub mode: String,
-    /// Total transitions in the campaign.
-    pub transitions: u64,
-    /// Transitions skipped as confidently safe (filter mode; they
-    /// contribute only their sample count).
-    pub safe_skipped: u64,
-    /// Transitions resolved from predicted masks (full mode only).
-    pub predicted: u64,
-    /// Transitions exact DTA evaluated (uncertain band + audits).
-    pub exact_evaluated: u64,
-    /// Surrogate-handled transitions exact-evaluated as audits.
-    pub audited: u64,
-    /// Audited transitions where exact DTA contradicted the surrogate.
-    pub audit_errors: u64,
-    /// `Some(reason)` when audit miscalibration forced the loud
-    /// fallback to a full exact campaign (whose statistics are what
-    /// this report accompanies).
-    pub fallback: Option<String>,
-}
-
-impl SurrogateReport {
-    /// A report for a run that evaluated every transition exactly
-    /// (surrogate off, or a pre-surrogate code path).
-    #[must_use]
-    pub fn exact_only(mode: &str, transitions: u64) -> Self {
-        SurrogateReport {
-            mode: mode.to_string(),
-            transitions,
-            safe_skipped: 0,
-            predicted: 0,
-            exact_evaluated: transitions,
-            audited: 0,
-            audit_errors: 0,
-            fallback: None,
-        }
-    }
-}
-
-/// The surrogate feature shape of one operation's operands: IEEE field
-/// split for the FP-consuming ops, raw-integer fallback for ItoF.
-pub fn operand_format_of(op: FpOp) -> tei_timing::OperandFormat {
-    match op.kind {
-        FpOpKind::ItoF => tei_timing::OperandFormat {
-            width: op.precision.int_bits(),
-            exp_bits: 0,
-            frac_bits: 0,
-            binary: false,
-        },
-        _ => {
-            let f = op.format();
-            tei_timing::OperandFormat {
-                width: f.width(),
-                exp_bits: f.exp_bits,
-                frac_bits: f.frac_bits,
-                binary: op.is_binary(),
-            }
-        }
-    }
-}
-
-/// Fit a surrogate settle-time model for `unit` from an exact-DTA walk
-/// over `pairs` (transition `t` is `pairs[t] → pairs[t+1]`, the same
-/// state semantics the campaigns use). Serial by design: the fit folds
-/// floating-point sums, and a fixed fold order keeps the artifact
-/// reproducible bit-for-bit.
-///
-/// # Errors
-///
-/// [`TeiError::Config`] for an unsatisfiable lane width or backend.
-pub fn fit_surrogate(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    tuning: DtaTuning,
-) -> Result<tei_timing::SurrogateModel, TeiError> {
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    let mut engine = dta_engine(unit, lanes, tuning.backend)?;
-    let outputs = unit.result_port().to_vec();
-    let mut fitter = tei_timing::SurrogateFitter::new(
-        unit.tag(),
-        unit.dta_compiled().fingerprint(),
-        clk,
-        operand_format_of(unit.op()),
-        outputs.len() as u32,
-    );
-    if pairs.len() < 2 {
-        return Ok(fitter.finish());
-    }
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let mut flat = vec![false; window_vectors * width];
-    let mut settles = vec![0.0f64; outputs.len()];
-    let transitions = pairs.len() - 1;
-    let mut start = 0usize;
-    while start < transitions {
-        let count = (transitions - start + 1).min(window_vectors);
-        for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-            unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-        }
-        engine.load_window(&flat[..count * width], count);
-        for t in 0..count - 1 {
-            engine.select_transition(t);
-            for (i, &net) in outputs.iter().enumerate() {
-                settles[i] = engine.settle_of(net).min(clk); // nominal clamp
-            }
-            fitter.observe(pairs[start + t], pairs[start + t + 1], &settles);
-        }
-        start += count - 1;
-    }
-    Ok(fitter.finish())
-}
-
-/// Artifact path of a unit's persisted surrogate model under `dir`.
-pub fn surrogate_model_path(dir: &std::path::Path, unit_tag: &str) -> std::path::PathBuf {
-    dir.join(format!("surrogate-{unit_tag}.json"))
-}
-
-/// Persist a fitted surrogate model under `dir` as checksummed JSON
-/// (`surrogate-<tag>.json` + `.fnv` sidecar, both written atomically).
-///
-/// # Errors
-///
-/// [`TeiError::Io`] on filesystem failure.
-pub fn save_surrogate(
-    model: &tei_timing::SurrogateModel,
-    dir: &std::path::Path,
-) -> Result<std::path::PathBuf, TeiError> {
-    std::fs::create_dir_all(dir).map_err(|e| TeiError::io("create model dir", dir, e))?;
-    let path = surrogate_model_path(dir, &model.unit_tag);
-    let json = serde_json::to_string(model).expect("surrogate model serializes");
-    crate::journal::atomic_write_checksummed(&path, json.as_bytes())?;
-    Ok(path)
-}
-
-/// Load a persisted surrogate model for `unit` and validate it against
-/// the unit's live netlist fingerprint, the campaign clock, and the
-/// largest derating factor it will be queried at.
-///
-/// # Errors
-///
-/// [`TeiError::Io`] when the artifact is unreadable;
-/// [`TeiError::SurrogateStale`] for a corrupt, mismatched, or stale
-/// artifact — never a silently wrong model.
-pub fn load_surrogate(
-    dir: &std::path::Path,
-    unit: &FpuUnit,
-    clk: f64,
-    k_max: f64,
-) -> Result<tei_timing::SurrogateModel, TeiError> {
-    let path = surrogate_model_path(dir, unit.tag());
-    let stale = |reason: String| TeiError::SurrogateStale {
-        unit: unit.tag().to_string(),
-        reason,
-    };
-    match crate::journal::verify_checksummed(&path) {
-        Ok(_) => {}
-        Err(TeiError::Io { op, path, source }) => {
-            return Err(TeiError::Io { op, path, source });
-        }
-        Err(e) => return Err(stale(format!("artifact failed checksum verification: {e}"))),
-    }
-    let json = std::fs::read_to_string(&path)
-        .map_err(|e| TeiError::io("read surrogate model", &path, e))?;
-    let model: tei_timing::SurrogateModel = serde_json::from_str(&json)
-        .map_err(|e| stale(format!("unparsable artifact {}: {e:?}", path.display())))?;
-    model
-        .validate(unit.tag(), unit.dta_compiled().fingerprint(), clk, k_max)
-        .map_err(stale)?;
-    Ok(model)
-}
-
-/// Predict-then-verify DTA campaign: the surrogate classifies every
-/// transition, exact DTA runs on the uncertain band plus a seeded audit
-/// fraction of the surrogate-handled band, and the results merge into
-/// statistics plus a [`SurrogateReport`].
-///
-/// **Filter mode is byte-identical-or-refuse.** Only confidently-safe
-/// transitions are skipped, and a skipped transition contributes exactly
-/// what an error-free transition contributes to exact DTA: one sample
-/// and nothing else. Exact transitions are evaluated in increasing
-/// transition order (chunks merge in index order), so the mask library
-/// sequence — and therefore the seeded reservoir cap — matches the
-/// exact campaign bit-for-bit whenever the skip decisions are sound.
-/// Soundness is continuously audited: if exact DTA contradicts the
-/// surrogate on any audited transition, the campaign discards the
-/// filtered statistics and loudly re-runs full exact DTA, recording the
-/// fallback in the report. See DESIGN.md §11.
-///
-/// With `tuning.surrogate == SurrogateMode::Off` the model is ignored
-/// and this is exactly [`dta_campaign_tuned`].
-///
-/// # Errors
-///
-/// [`TeiError::SurrogateStale`] when the model does not match the unit,
-/// clock, or requested corners; [`TeiError::Config`] /
-/// [`TeiError::WorkerPool`] as for the exact campaign.
-#[allow(clippy::too_many_arguments)]
-pub fn dta_campaign_predictive(
-    unit: &FpuUnit,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
-    threads: usize,
-    tuning: DtaTuning,
-    model: &tei_timing::SurrogateModel,
-    run: &SurrogateRun,
-) -> Result<(Vec<OpErrorStats>, SurrogateReport), TeiError> {
-    let transitions = pairs.len().saturating_sub(1);
-    if tuning.surrogate == SurrogateMode::Off {
-        let stats = dta_campaign_tuned(unit, pairs, clk, levels, threads, tuning)?;
-        return Ok((
-            stats,
-            SurrogateReport::exact_only("off", transitions as u64),
-        ));
-    }
-    let mode_label = match tuning.surrogate {
-        SurrogateMode::Filter => "filter",
-        SurrogateMode::Full => "full",
-        SurrogateMode::Off => unreachable!(),
-    };
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let k_max = factors.iter().fold(0.0f64, |a, &k| a.max(k));
-    model
-        .validate(unit.tag(), unit.dta_compiled().fingerprint(), clk, k_max)
-        .map_err(|reason| TeiError::SurrogateStale {
-            unit: unit.tag().to_string(),
-            reason,
-        })?;
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    drop(dta_engine(unit, lanes, tuning.backend)?);
-    let outputs = unit.result_port().to_vec();
-    if transitions == 0 {
-        return Ok((
-            empty_stats(unit, levels, outputs.len()),
-            SurrogateReport::exact_only(mode_label, 0),
-        ));
-    }
-    let compiled = unit.dta_compiled();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(compiled, &outputs, &factors, clk, prune.enabled);
-
-    // --- Tier 1: classification pass (serial; tens of ns/transition).
-    // `exact_jobs` collects, in increasing transition order, everything
-    // that must run exact DTA: `(transition, audit expectation)`. An
-    // audit expectation is the OR-mask the surrogate implies — 0 for a
-    // safe skip, the predicted OR for a full-mode prediction — and any
-    // exact result contradicting it counts as a miscalibration.
-    let mut exact_jobs: Vec<(usize, Option<u64>)> = Vec::new();
-    let mut predicted_stats = empty_stats(unit, levels, outputs.len());
-    let mut safe_skipped = 0u64;
-    let mut predicted = 0u64;
-    let mut audited = 0u64;
-    for t in 0..transitions {
-        let (prev, cur) = (pairs[t], pairs[t + 1]);
-        match tuning.surrogate {
-            SurrogateMode::Filter => {
-                if model.classify(prev, cur, k_max) == tei_timing::SurrogateClass::Safe {
-                    if run.audited(t) {
-                        audited += 1;
-                        exact_jobs.push((t, Some(0)));
-                    } else {
-                        safe_skipped += 1;
-                        // A confidently-safe transition contributes what an
-                        // error-free transition contributes: one sample.
-                        for s in &mut predicted_stats {
-                            s.samples += 1;
-                        }
-                    }
-                } else {
-                    exact_jobs.push((t, None));
-                }
-            }
-            SurrogateMode::Full => {
-                let masks: Option<Vec<u64>> = factors
-                    .iter()
-                    .map(|&k| model.predict_mask(prev, cur, k))
-                    .collect();
-                match masks {
-                    Some(masks) if run.audited(t) => {
-                        audited += 1;
-                        let or = masks.iter().fold(0u64, |a, &m| a | m);
-                        exact_jobs.push((t, Some(or)));
-                    }
-                    Some(masks) => {
-                        predicted += 1;
-                        for (s, &mask) in predicted_stats.iter_mut().zip(&masks) {
-                            s.samples += 1;
-                            if mask != 0 {
-                                s.faulty += 1;
-                                for bit in 0..outputs.len() {
-                                    if mask & (1 << bit) != 0 {
-                                        s.bit_errors[bit] += 1;
-                                    }
-                                }
-                                *s.flip_hist.entry(mask.count_ones() as usize).or_default() += 1;
-                                s.masks.push(mask);
-                            }
-                        }
-                    }
-                    None => exact_jobs.push((t, None)),
-                }
-            }
-            SurrogateMode::Off => unreachable!(),
-        }
-    }
-
-    // --- Tier 2: exact DTA over the uncertain band + audits. The
-    // uncertain band clusters (bursts of novel operands), so exact
-    // transitions are packed as *contiguous runs*: a run of L
-    // consecutive transitions shares its interior states and costs
-    // L + 1 window vectors, exactly like the full campaign's walk —
-    // only isolated transitions pay the 2-vector price. Windows (and
-    // the transitions inside them) are built in increasing transition
-    // order and chunks merge in index order, preserving the exact
-    // campaign's mask sequence.
-    let audit_errors = std::sync::atomic::AtomicU64::new(0);
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    struct ExactWindow {
-        /// Trace state indices loaded as window vectors, in order.
-        states: Vec<usize>,
-        /// `(local transition offset, index into exact_jobs)` to run;
-        /// offsets at run seams are absent, never evaluated.
-        trans: Vec<(usize, usize)>,
-    }
-    let mut windows: Vec<ExactWindow> = Vec::new();
-    {
-        let mut states: Vec<usize> = Vec::new();
-        let mut trans: Vec<(usize, usize)> = Vec::new();
-        let mut prev_t: Option<usize> = None;
-        for (ji, &(t, _)) in exact_jobs.iter().enumerate() {
-            let extends_run = prev_t == Some(t.wrapping_sub(1))
-                && !states.is_empty()
-                && states.len() < window_vectors;
-            if extends_run {
-                // The run's last state *is* this transition's `prev`.
-                trans.push((states.len() - 1, ji));
-                states.push(t + 1);
-            } else {
-                if states.len() + 2 > window_vectors {
-                    windows.push(ExactWindow {
-                        states: std::mem::take(&mut states),
-                        trans: std::mem::take(&mut trans),
-                    });
-                }
-                trans.push((states.len(), ji));
-                states.push(t);
-                states.push(t + 1);
-            }
-            prev_t = Some(t);
-        }
-        if !states.is_empty() {
-            windows.push(ExactWindow { states, trans });
-        }
-    }
-    let make_scratch = || EngineScratch {
-        engine: dta_engine(unit, lanes, tuning.backend).expect("tuning validated above"),
-        flat: vec![false; window_vectors * width],
-    };
-    let run_chunk = |ci: usize, scratch: &mut EngineScratch| -> Vec<OpErrorStats> {
-        let chunk = &windows[ci * CHUNK_WINDOWS..((ci + 1) * CHUNK_WINDOWS).min(windows.len())];
-        let mut stats = empty_stats(unit, levels, outputs.len());
-        let mut keep = vec![0u64; lanes];
-        for w in chunk {
-            for (v, &st) in w.states.iter().enumerate() {
-                unit.encode_inputs_into(
-                    pairs[st].0,
-                    pairs[st].1,
-                    &mut scratch.flat[v * width..(v + 1) * width],
-                );
-            }
-            // Seam transitions between packed runs are dense garbage
-            // toggles; mask them out of the settle batches entirely.
-            keep.iter_mut().for_each(|word| *word = 0);
-            for &(local, _) in &w.trans {
-                keep[local >> 6] |= 1u64 << (local & 63);
-            }
-            scratch.engine.set_window_keep_mask(&keep);
-            scratch
-                .engine
-                .load_window(&scratch.flat[..w.states.len() * width], w.states.len());
-            for &(local, ji) in &w.trans {
-                scratch.engine.select_transition(local);
-                let or_mask = accumulate_transition(
-                    &mut stats,
-                    &factors,
-                    &live,
-                    &outputs,
-                    clk,
-                    scratch.engine.as_ref(),
-                );
-                if let Some(expected) = exact_jobs[ji].1 {
-                    if or_mask != expected {
-                        audit_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        stats
-    };
-    let exact_stats = run_chunked(
-        windows.len().div_ceil(CHUNK_WINDOWS),
-        threads,
-        make_scratch,
-        || empty_stats(unit, levels, outputs.len()),
-        run_chunk,
-    )?;
-
-    let audit_errors = audit_errors.load(Ordering::Relaxed);
-    if audit_errors > 0 {
-        // The surrogate lied about at least one transition it handled.
-        // The filtered statistics are unsound — discard them and run the
-        // campaign the model-free way, loudly.
-        let reason = format!(
-            "audit miscalibration: exact DTA contradicted the surrogate on \
-             {audit_errors} of {audited} audited transitions; falling back to \
-             exact DTA for unit {}",
-            unit.tag()
-        );
-        eprintln!("warning: {reason}");
-        let exact = dta_campaign_tuned(unit, pairs, clk, levels, threads, tuning)?;
-        let mut report = SurrogateReport::exact_only(mode_label, transitions as u64);
-        report.audited = audited;
-        report.audit_errors = audit_errors;
-        report.fallback = Some(reason);
-        return Ok((exact, report));
-    }
-
-    // Merge: surrogate-handled contributions first, exact contributions
-    // after, then the seeded reservoir cap. In filter mode the surrogate
-    // contributes only sample counts (no masks), so the mask sequence —
-    // and the reservoir — is exactly the exact campaign's.
-    let mut stats = predicted_stats;
-    for (dst, src) in stats.iter_mut().zip(&exact_stats) {
-        dst.merge(src);
-    }
-    finalize_masks(&mut stats);
-    Ok((
-        stats,
-        SurrogateReport {
-            mode: mode_label.to_string(),
-            transitions: transitions as u64,
-            safe_skipped,
-            predicted,
-            exact_evaluated: exact_jobs.len() as u64,
-            audited,
-            audit_errors: 0,
-            fallback: None,
-        },
-    ))
-}
-
-/// Held-out fidelity of a surrogate model against exact DTA: per-pair
-/// classification outcomes, full-mode mask agreement, and per-bit
-/// confusion counts at the requested corners.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SurrogateFidelity {
-    /// Transitions evaluated.
-    pub transitions: u64,
-    /// Classified confidently safe at the largest requested factor.
-    pub classified_safe: u64,
-    /// Classified confidently erroneous.
-    pub classified_erroneous: u64,
-    /// Classified uncertain (would run exact DTA in filter mode).
-    pub classified_uncertain: u64,
-    /// Safe-classified transitions where exact DTA found an error at
-    /// any corner — each one is a filter-mode skip the audit must catch;
-    /// 0 means filter mode was byte-identical on this set.
-    pub false_safe: u64,
-    /// Transitions where the model offered a mask prediction at every
-    /// corner (the full-mode fast path).
-    pub predicted: u64,
-    /// Predicted transitions whose masks matched exact DTA at every
-    /// corner exactly.
-    pub masks_exact: u64,
-    /// Per-bit confusion counts over predicted transitions and corners.
-    pub bit_true_pos: u64,
-    /// Bits predicted erroneous that exact DTA cleared.
-    pub bit_false_pos: u64,
-    /// Bits exact DTA flagged that the prediction missed.
-    pub bit_false_neg: u64,
-}
-
-impl SurrogateFidelity {
-    /// Fraction of predicted transitions with exactly matching masks.
-    pub fn mask_accuracy(&self) -> f64 {
-        if self.predicted == 0 {
-            0.0
-        } else {
-            self.masks_exact as f64 / self.predicted as f64
-        }
-    }
-
-    /// Bit-level precision of predicted error bits.
-    pub fn bit_precision(&self) -> f64 {
-        let denom = self.bit_true_pos + self.bit_false_pos;
-        if denom == 0 {
-            1.0
-        } else {
-            self.bit_true_pos as f64 / denom as f64
-        }
-    }
-
-    /// Bit-level recall of predicted error bits.
-    pub fn bit_recall(&self) -> f64 {
-        let denom = self.bit_true_pos + self.bit_false_neg;
-        if denom == 0 {
-            1.0
-        } else {
-            self.bit_true_pos as f64 / denom as f64
-        }
-    }
-}
-
-/// Measure a surrogate model's fidelity against exact DTA over held-out
-/// `pairs` (serial walk; every transition is exact-evaluated with the
-/// full output scan, pruning off, so the reference masks are complete).
-///
-/// # Errors
-///
-/// [`TeiError::SurrogateStale`] when the model does not match the unit,
-/// clock, or corners; [`TeiError::Config`] for unsatisfiable tuning.
-pub fn surrogate_fidelity(
-    unit: &FpuUnit,
-    model: &tei_timing::SurrogateModel,
-    pairs: &[(u64, u64)],
-    clk: f64,
-    levels: &[VoltageReduction],
-    tuning: DtaTuning,
-) -> Result<SurrogateFidelity, TeiError> {
-    let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let k_max = factors.iter().fold(0.0f64, |a, &k| a.max(k));
-    model
-        .validate(unit.tag(), unit.dta_compiled().fingerprint(), clk, k_max)
-        .map_err(|reason| TeiError::SurrogateStale {
-            unit: unit.tag().to_string(),
-            reason,
-        })?;
-    let lanes = resolve_lanes(
-        tuning.lanes,
-        tuning.backend,
-        tei_kernels::registry().covers(unit),
-    );
-    let mut engine = dta_engine(unit, lanes, tuning.backend)?;
-    let outputs = unit.result_port().to_vec();
-    let mut fid = SurrogateFidelity {
-        transitions: 0,
-        classified_safe: 0,
-        classified_erroneous: 0,
-        classified_uncertain: 0,
-        false_safe: 0,
-        predicted: 0,
-        masks_exact: 0,
-        bit_true_pos: 0,
-        bit_false_pos: 0,
-        bit_false_neg: 0,
-    };
-    if pairs.len() < 2 {
-        return Ok(fid);
-    }
-    let width = unit.input_width();
-    let window_vectors = lanes * 64;
-    let mut flat = vec![false; window_vectors * width];
-    let transitions = pairs.len() - 1;
-    let mut start = 0usize;
-    while start < transitions {
-        let count = (transitions - start + 1).min(window_vectors);
-        for (v, &(a, b)) in pairs[start..start + count].iter().enumerate() {
-            unit.encode_inputs_into(a, b, &mut flat[v * width..(v + 1) * width]);
-        }
-        engine.load_window(&flat[..count * width], count);
-        for t in 0..count - 1 {
-            engine.select_transition(t);
-            let (prev, cur) = (pairs[start + t], pairs[start + t + 1]);
-            fid.transitions += 1;
-            // Exact per-corner masks from the full output scan.
-            let exact: Vec<u64> = factors
-                .iter()
-                .map(|&k| {
-                    let mut mask = 0u64;
-                    for (bit, &net) in outputs.iter().enumerate() {
-                        if engine.settle_of(net).min(clk) * k > clk {
-                            mask |= 1 << bit;
-                        }
-                    }
-                    mask
-                })
-                .collect();
-            let exact_or = exact.iter().fold(0u64, |a, &m| a | m);
-            match model.classify(prev, cur, k_max) {
-                tei_timing::SurrogateClass::Safe => {
-                    fid.classified_safe += 1;
-                    if exact_or != 0 {
-                        fid.false_safe += 1;
-                    }
-                }
-                tei_timing::SurrogateClass::Erroneous => fid.classified_erroneous += 1,
-                tei_timing::SurrogateClass::Uncertain => fid.classified_uncertain += 1,
-            }
-            let preds: Option<Vec<u64>> = factors
-                .iter()
-                .map(|&k| model.predict_mask(prev, cur, k))
-                .collect();
-            if let Some(preds) = preds {
-                fid.predicted += 1;
-                if preds == exact {
-                    fid.masks_exact += 1;
-                }
-                for (&p, &e) in preds.iter().zip(&exact) {
-                    fid.bit_true_pos += (p & e).count_ones() as u64;
-                    fid.bit_false_pos += (p & !e).count_ones() as u64;
-                    fid.bit_false_neg += (!p & e).count_ones() as u64;
-                }
-            }
-        }
-        start += count - 1;
-    }
-    Ok(fid)
 }
 
 /// Average absolute BER estimation error (paper eq. 3) between a
@@ -1759,7 +976,8 @@ pub fn calibrate_da(
             return Ok(None);
         }
         let take = trace.len().min(per_op_cap);
-        dta_campaign_with_threads(bank.unit(op), &trace[..take], spec.clk, levels, 1).map(Some)
+        let tuning = DtaTuning::default();
+        dta_campaign(bank.unit(op), &trace[..take], spec.clk, levels, 1, tuning).map(Some)
     })?;
     let mut totals = vec![(0u64, 0u64); levels.len()]; // (faulty, samples)
     for stats in per_op {
@@ -1912,7 +1130,7 @@ mod tests {
             lanes: Some(3),
             ..DtaTuning::default()
         };
-        let err = dta_campaign_tuned(
+        let err = dta_campaign(
             bank.unit(op),
             &pairs,
             spec.clk,
@@ -2009,7 +1227,7 @@ mod tests {
                     prune,
                     ..DtaTuning::default()
                 };
-                let s = dta_campaign_tuned(unit, &pairs, spec.clk, &levels, 1, tuning)
+                let s = dta_campaign(unit, &pairs, spec.clk, &levels, 1, tuning)
                     .expect("campaign succeeds");
                 serde_json::to_string(&s).expect("stats serialize")
             })
@@ -2035,7 +1253,7 @@ mod tests {
                 backend,
                 ..DtaTuning::default()
             };
-            let stats = dta_campaign_tuned(unit, &pairs, spec.clk, &levels, 2, tuning)
+            let stats = dta_campaign(unit, &pairs, spec.clk, &levels, 2, tuning)
                 .expect("campaign succeeds");
             serde_json::to_string(&stats).expect("stats serialize")
         })

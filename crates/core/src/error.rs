@@ -111,18 +111,6 @@ pub enum TeiError {
         /// What went wrong.
         detail: String,
     },
-    /// A persisted surrogate settle-time model does not match the unit it
-    /// was asked to predict for (wrong unit tag, stale netlist
-    /// fingerprint, different clock, or a derating factor above its
-    /// calibrated ceiling). The predict-then-verify pipeline refuses
-    /// rather than risk silently wrong skips — re-fit the model or run
-    /// with `TEI_SURROGATE=off`.
-    SurrogateStale {
-        /// The FPU unit the prediction was requested for.
-        unit: String,
-        /// Why the model was rejected.
-        reason: String,
-    },
     /// Structural lints found defects in a netlist a campaign was about
     /// to analyze (combinational loops, floating nets, dead logic, …).
     NetlistLint {
@@ -190,11 +178,6 @@ impl fmt::Display for TeiError {
                 write!(f, "fabric protocol violation from {peer}: {detail}")
             }
             TeiError::Fabric { detail } => write!(f, "campaign fabric failed: {detail}"),
-            TeiError::SurrogateStale { unit, reason } => write!(
-                f,
-                "surrogate model unusable for {unit}: {reason}; \
-                 re-fit the model or run with TEI_SURROGATE=off"
-            ),
             TeiError::NetlistLint {
                 design,
                 diagnostics,

@@ -68,10 +68,7 @@ pub use campaign::{
     CampaignConfig, CampaignResult, GoldenRun, Outcome, OutcomeCounts, QuarantinedRun, ReplayMode,
 };
 pub use dev::{
-    dta_campaign_predictive, fit_surrogate, load_surrogate, operand_format_of, save_surrogate,
-    surrogate_fidelity, surrogate_model_path, DaCalibration, DtaTuning, KernelBackend,
-    OpErrorStats, PruneDecision, PrunePolicy, SurrogateFidelity, SurrogateMode, SurrogateReport,
-    SurrogateRun, TraceSet,
+    DaCalibration, DtaTuning, KernelBackend, OpErrorStats, PruneDecision, PrunePolicy, TraceSet,
 };
 pub use error::TeiError;
 pub use fabric::{run_fabric_campaign, serve, CampaignSpec, FabricConfig, FabricEvent};

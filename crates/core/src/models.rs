@@ -7,7 +7,7 @@
 #![deny(clippy::disallowed_methods)]
 
 use crate::dev::{
-    dta_campaign_with_threads, per_op_parallel, random_operand_pairs, DaCalibration, OpErrorStats,
+    dta_campaign, per_op_parallel, random_operand_pairs, DaCalibration, DtaTuning, OpErrorStats,
     TraceSet,
 };
 use crate::error::TeiError;
@@ -251,9 +251,10 @@ impl StatModel {
         samples_per_op: usize,
         seed: u64,
     ) -> Result<Self, TeiError> {
+        let tuning = DtaTuning::default();
         let stats: Vec<OpErrorStats> = per_op_parallel(|op| {
             let pairs = random_operand_pairs(op, samples_per_op, seed);
-            dta_campaign_with_threads(bank.unit(op), &pairs, spec.clk, &[vr], 1)?
+            dta_campaign(bank.unit(op), &pairs, spec.clk, &[vr], 1, tuning)?
                 .pop()
                 .ok_or_else(|| TeiError::EmptyDta {
                     op: op.to_string(),
@@ -318,10 +319,11 @@ impl StatModel {
         trace: &TraceSet,
         per_op_cap: usize,
     ) -> Result<Self, TeiError> {
+        let tuning = DtaTuning::default();
         let stats: Vec<OpErrorStats> = per_op_parallel(|op| {
             let t = trace.of(op);
             let take = t.len().min(per_op_cap);
-            dta_campaign_with_threads(bank.unit(op), &t[..take], spec.clk, &[vr], 1)?
+            dta_campaign(bank.unit(op), &t[..take], spec.clk, &[vr], 1, tuning)?
                 .pop()
                 .ok_or_else(|| TeiError::EmptyDta {
                     op: op.to_string(),

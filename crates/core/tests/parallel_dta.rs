@@ -8,9 +8,8 @@
 
 use std::collections::BTreeMap;
 use tei_core::dev::{
-    dta_campaign_sampled_tuned, dta_campaign_sampled_with_threads, dta_campaign_tuned,
-    dta_campaign_with_threads, random_operand_pairs, safe_bit_counts, DtaTuning, KernelBackend,
-    OpErrorStats, PrunePolicy,
+    dta_campaign, dta_campaign_sampled, random_operand_pairs, safe_bit_counts, DtaTuning,
+    KernelBackend, OpErrorStats, PrunePolicy,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -82,15 +81,22 @@ fn sim_reference(
 fn parallel_campaign_equals_serial_byte_for_byte() {
     let (unit, spec) = test_unit();
     let pairs = random_operand_pairs(unit.op(), 403, 0xd7a_cafe);
-    let serial =
-        dta_campaign_with_threads(unit, &pairs, spec.clk, &LEVELS, 1).expect("serial campaign");
+    let serial = dta_campaign(unit, &pairs, spec.clk, &LEVELS, 1, DtaTuning::default())
+        .expect("serial campaign");
     assert!(
         serial.iter().any(|s| s.faulty > 0),
         "campaign should observe errors for the comparison to be meaningful"
     );
     for threads in [2usize, 3, 8] {
-        let parallel = dta_campaign_with_threads(unit, &pairs, spec.clk, &LEVELS, threads)
-            .expect("parallel campaign");
+        let parallel = dta_campaign(
+            unit,
+            &pairs,
+            spec.clk,
+            &LEVELS,
+            threads,
+            DtaTuning::default(),
+        )
+        .expect("parallel campaign");
         assert_eq!(
             serde_json::to_string(&serial).expect("serialize serial"),
             serde_json::to_string(&parallel).expect("serialize parallel"),
@@ -118,7 +124,7 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
             for lanes in [1usize, 4, 8] {
                 for threads in [1usize, 3] {
                     for prune in [PrunePolicy::ForceOn, PrunePolicy::ForceOff] {
-                        let got = dta_campaign_tuned(
+                        let got = dta_campaign(
                             unit,
                             &pairs,
                             spec.clk,
@@ -128,7 +134,6 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
                                 prune,
                                 lanes: Some(lanes),
                                 backend,
-                                ..DtaTuning::default()
                             },
                         )
                         .expect("campaign");
@@ -151,12 +156,27 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
     let trace = random_operand_pairs(unit.op(), 300, 0x5a5a);
     // An arbitrary non-monotonic sample pattern over valid indices.
     let indices: Vec<usize> = (1..trace.len()).filter(|i| i % 3 != 0).collect();
-    let serial = dta_campaign_sampled_with_threads(unit, &trace, &indices, spec.clk, &LEVELS, 1)
-        .expect("serial sampled campaign");
+    let serial = dta_campaign_sampled(
+        unit,
+        &trace,
+        &indices,
+        spec.clk,
+        &LEVELS,
+        1,
+        DtaTuning::default(),
+    )
+    .expect("serial sampled campaign");
     for threads in [2usize, 5] {
-        let parallel =
-            dta_campaign_sampled_with_threads(unit, &trace, &indices, spec.clk, &LEVELS, threads)
-                .expect("parallel sampled campaign");
+        let parallel = dta_campaign_sampled(
+            unit,
+            &trace,
+            &indices,
+            spec.clk,
+            &LEVELS,
+            threads,
+            DtaTuning::default(),
+        )
+        .expect("parallel sampled campaign");
         assert_eq!(
             serde_json::to_string(&serial).expect("serialize serial"),
             serde_json::to_string(&parallel).expect("serialize parallel"),
@@ -165,7 +185,7 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
     }
     // The generated backend must reproduce the same sampled statistics.
     for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
-        let tuned = dta_campaign_sampled_tuned(
+        let tuned = dta_campaign_sampled(
             unit,
             &trace,
             &indices,
@@ -193,7 +213,7 @@ fn safe_bit_pruning_is_byte_identical_to_full_scan() {
     // Force the pruning on: the default `PrunePolicy::Auto` only prunes
     // past the measured break-even fraction, but this test is about the
     // *exactness* of the skip, not whether it pays.
-    let pruned = dta_campaign_tuned(
+    let pruned = dta_campaign(
         unit,
         &pairs,
         spec.clk,
@@ -205,7 +225,7 @@ fn safe_bit_pruning_is_byte_identical_to_full_scan() {
         },
     )
     .expect("pruned campaign");
-    let unpruned = dta_campaign_tuned(
+    let unpruned = dta_campaign(
         unit,
         &pairs,
         spec.clk,
@@ -238,10 +258,17 @@ fn thread_count_overshoot_is_clamped() {
     let (unit, spec) = test_unit();
     let pairs = random_operand_pairs(unit.op(), 6, 1);
     // More threads than chunks: workers clamp without panicking.
-    let stats =
-        dta_campaign_with_threads(unit, &pairs, spec.clk, &LEVELS, 64).expect("clamped campaign");
+    let stats = dta_campaign(unit, &pairs, spec.clk, &LEVELS, 64, DtaTuning::default())
+        .expect("clamped campaign");
     assert_eq!(stats[0].samples, 5);
-    let empty =
-        dta_campaign_with_threads(unit, &pairs[..1], spec.clk, &LEVELS, 4).expect("empty campaign");
+    let empty = dta_campaign(
+        unit,
+        &pairs[..1],
+        spec.clk,
+        &LEVELS,
+        4,
+        DtaTuning::default(),
+    )
+    .expect("empty campaign");
     assert_eq!(empty[0].samples, 0, "single pair only establishes state");
 }

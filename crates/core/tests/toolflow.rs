@@ -2,8 +2,11 @@
 //! injection campaigns, validating the paper's qualitative structure.
 
 use std::sync::OnceLock;
-use tei_core::{campaign, dev, models, models::InjectionModel, DaModel, StatModel};
-use tei_fpu::{FpuBank, FpuTimingSpec};
+use tei_core::{
+    campaign, config, dev, models, models::InjectionModel, DaModel, DtaTuning, OpErrorStats,
+    StatModel,
+};
+use tei_fpu::{FpuBank, FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
 use tei_timing::VoltageReduction;
 use tei_workloads::{build, BenchmarkId, Scale};
@@ -14,6 +17,13 @@ fn bank() -> &'static (FpuBank, FpuTimingSpec) {
 }
 
 const MEM: usize = 8 << 20;
+
+/// A default-tuned DTA campaign at VR20 over `pairs`.
+fn dta_vr20(unit: &FpuUnit, pairs: &[(u64, u64)], clk: f64) -> Vec<OpErrorStats> {
+    let (threads, tuning) = (config::default_threads(), DtaTuning::default());
+    dev::dta_campaign(unit, pairs, clk, &[VoltageReduction::VR20], threads, tuning)
+        .expect("campaign")
+}
 
 #[test]
 fn ia_model_matches_paper_structure() {
@@ -83,8 +93,7 @@ fn flip_histogram_shows_multibit_errors() {
     let (bank, spec) = bank();
     let op = FpOp::new(FpOpKind::Mul, Precision::Double);
     let pairs = dev::random_operand_pairs(op, 2500, 7);
-    let stats = dev::dta_campaign(bank.unit(op), &pairs, spec.clk, &[VoltageReduction::VR20])
-        .expect("campaign");
+    let stats = dta_vr20(bank.unit(op), &pairs, spec.clk);
     let s = &stats[0];
     assert!(s.faulty > 0, "need faulty samples to histogram");
     let multi: u64 = s
@@ -115,17 +124,9 @@ fn ber_estimate_converges_with_sample_count() {
         full.len()
     );
     let unit = bank.unit(op);
-    let reference = dev::dta_campaign(unit, full, spec.clk, &[VoltageReduction::VR20])
-        .expect("campaign")
-        .pop()
-        .unwrap()
-        .ber();
+    let reference = dta_vr20(unit, full, spec.clk).pop().unwrap().ber();
     let ae_of = |k: usize| {
-        let sub = dev::dta_campaign(unit, &full[..k], spec.clk, &[VoltageReduction::VR20])
-            .expect("campaign")
-            .pop()
-            .unwrap()
-            .ber();
+        let sub = dta_vr20(unit, &full[..k], spec.clk).pop().unwrap().ber();
         dev::average_absolute_error(&reference, &sub)
     };
     let coarse = ae_of(full.len() / 16);

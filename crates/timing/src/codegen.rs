@@ -845,10 +845,6 @@ pub struct SpecializedKernel<P, const W: usize> {
     /// layout. Decided once at construction.
     pair: bool,
     width: usize,
-    /// One-shot per-transition keep mask for the next `load_window`
-    /// (empty = keep everything); see
-    /// [`ArrivalKernel::set_window_keep_mask`](crate::kernel::ArrivalKernel::set_window_keep_mask).
-    win_mask: Vec<u64>,
     win_count: usize,
     view_t: usize,
     batch_base: usize,
@@ -904,7 +900,6 @@ impl<P: NetlistProgram, const W: usize> SpecializedKernel<P, W> {
             pair,
             program,
             width,
-            win_mask: Vec::new(),
             win_count: 0,
             view_t: 0,
             batch_base: usize::MAX,
@@ -940,11 +935,6 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
         W
     }
 
-    fn set_window_keep_mask(&mut self, keep: &[u64]) {
-        self.win_mask.clear();
-        self.win_mask.extend_from_slice(keep);
-    }
-
     fn load_window(&mut self, flat: &[bool], count: usize) {
         assert!((1..=Self::WINDOW_VECTORS).contains(&count), "window size");
         assert_eq!(flat.len(), count * self.width, "window buffer size");
@@ -962,26 +952,18 @@ impl<P: NetlistProgram, const W: usize> ArrivalEngine for SpecializedKernel<P, W
             self.plane[net as usize] = lane;
         }
 
-        // Mask off diff lanes beyond the last valid transition, plus
-        // any the caller masked out (seams between packed runs).
+        // Mask off diff lanes beyond the last valid transition.
         let valid = count - 1;
         let tmask: Lanes<W> = std::array::from_fn(|w| {
             let lo = w * 64;
-            let base = if valid >= lo + 64 {
+            if valid >= lo + 64 {
                 !0
             } else if valid > lo {
                 (1u64 << (valid - lo)) - 1
             } else {
                 0
-            };
-            let keep = if self.win_mask.is_empty() {
-                !0
-            } else {
-                self.win_mask.get(w).copied().unwrap_or(0)
-            };
-            base & keep
+            }
         });
-        self.win_mask.clear();
         table_plane_pass(
             self.program.kinds(),
             self.program.pins(),

@@ -46,16 +46,6 @@ pub trait ArrivalEngine: Send {
         self.lanes() * 64
     }
 
-    /// Keep only the given transitions of the next loaded window (bit
-    /// `t` of `keep[t / 64]`; see
-    /// [`ArrivalKernel::set_window_keep_mask`]). An optimization hint
-    /// for sparsely-packed windows: masked-off transitions must not be
-    /// selected, kept transitions settle bit-identically, and engines
-    /// that ignore the hint stay correct.
-    fn set_window_keep_mask(&mut self, keep: &[u64]) {
-        let _ = keep;
-    }
-
     /// Load a window of `count` concatenated input vectors and evaluate
     /// every steady state (see [`ArrivalKernel::load_window`]).
     fn load_window(&mut self, flat: &[bool], count: usize);
@@ -145,10 +135,6 @@ impl<const W: usize> ArrivalEngine for InterpretedEngine<'_, W> {
 
     fn lanes(&self) -> usize {
         W
-    }
-
-    fn set_window_keep_mask(&mut self, keep: &[u64]) {
-        self.kernel.set_window_keep_mask(keep);
     }
 
     fn load_window(&mut self, flat: &[bool], count: usize) {

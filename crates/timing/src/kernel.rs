@@ -438,12 +438,6 @@ pub struct ArrivalKernel<const W: usize = 1> {
     /// Window mode: `diffs` transposed into per-transition gate
     /// bitmasks; transition `t` owns words `[t*words .. (t+1)*words)`.
     diff_t: Vec<u64>,
-    /// One-shot per-transition keep mask for the next `load_window`
-    /// (empty = keep everything): bit `t` of word `t / 64` retains
-    /// transition `t`'s diff lanes, cleared bits zero them. Purely an
-    /// optimization for sparsely-packed windows — masked transitions
-    /// must simply never be selected.
-    win_mask: Vec<u64>,
     /// Vectors loaded in the current window (0 = no window).
     win_count: usize,
     /// Transition selected by `select_transition`.
@@ -760,21 +754,6 @@ impl<const W: usize> ArrivalKernel<W> {
         self.sanitize_settles(c);
     }
 
-    /// Keep only the given transitions of the *next* loaded window: bit
-    /// `t` of `keep[t / 64]` retains transition `t`'s diff lanes, a
-    /// cleared bit zeroes them (words past `keep.len()` keep nothing).
-    /// Callers packing unrelated vector runs into one window mask off
-    /// the seam transitions between runs so their (dense, meaningless)
-    /// toggle activity never reaches a settle batch's dirty union.
-    /// This is purely an optimization hint: masked transitions must not
-    /// be selected, and kept transitions settle bit-identically to an
-    /// unmasked window. Consumed by the next
-    /// [`load_window`](Self::load_window); an empty mask keeps all.
-    pub fn set_window_keep_mask(&mut self, keep: &[u64]) {
-        self.win_mask.clear();
-        self.win_mask.extend_from_slice(keep);
-    }
-
     /// Load a bit-sliced window of up to [`Self::WINDOW_VECTORS`] input
     /// vectors (`flat` holds `count` concatenated vectors of the
     /// design's input width) and evaluate every vector's steady state
@@ -886,21 +865,14 @@ impl<const W: usize> ArrivalKernel<W> {
         let valid = count - 1; // number of transitions
         let tmask: Lanes<W> = from_fn(|w| {
             let lo = w * 64;
-            let base = if valid >= lo + 64 {
+            if valid >= lo + 64 {
                 !0
             } else if valid > lo {
                 (1u64 << (valid - lo)) - 1
             } else {
                 0
-            };
-            let keep = if self.win_mask.is_empty() {
-                !0
-            } else {
-                self.win_mask.get(w).copied().unwrap_or(0)
-            };
-            base & keep
+            }
         });
-        self.win_mask.clear();
         for i in 0..n {
             let p = self.plane[i];
             self.diffs[i] = from_fn(|w| {
