@@ -57,19 +57,25 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
-/// Functional-core simulation speed (instructions/second).
+/// Functional-core simulation speed (instructions/second): a short
+/// Test-scale run and a Small-scale `mg` run (~668 k instructions, FP
+/// heavy) whose arithmetic dominates injection replay.
 fn bench_functional_core(c: &mut Criterion) {
-    let bench = build(BenchmarkId::Sobel, Scale::Test);
-    let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
-    let total = core.run(u64::MAX).instructions;
     let mut group = c.benchmark_group("simulators");
-    group.throughput(Throughput::Elements(total));
-    group.bench_function("functional_sobel_test", |b| {
-        b.iter(|| {
-            let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
-            core.run(u64::MAX)
+    for (id, scale, name) in [
+        (BenchmarkId::Sobel, Scale::Test, "functional_sobel_test"),
+        (BenchmarkId::Mg, Scale::Small, "functional_mg_small"),
+    ] {
+        let bench = build(id, scale);
+        let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
+        group.throughput(Throughput::Elements(core.run(u64::MAX).instructions));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut core = FuncCore::with_memory(&bench.program, 8 << 20);
+                core.run(u64::MAX)
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -607,7 +607,7 @@ struct ChunkSlot(Mutex<Option<Vec<OpErrorStats>>>);
 /// reusable scratch. Each worker builds its scratch once on its own
 /// thread via `make_scratch` (first-touch local allocation) and keeps
 /// per-chunk accumulation thread-local; only the finished chunk result
-/// is published.
+/// is published. With no chunks, no scratch is built.
 fn run_chunked<S>(
     n_chunks: usize,
     threads: usize,
@@ -615,8 +615,11 @@ fn run_chunked<S>(
     empty: impl Fn() -> Vec<OpErrorStats>,
     run_chunk: impl Fn(usize, &mut S) -> Vec<OpErrorStats> + Sync,
 ) -> Result<Vec<OpErrorStats>, TeiError> {
-    let threads = threads.clamp(1, n_chunks.max(1));
     let mut merged = empty();
+    if n_chunks == 0 {
+        return Ok(merged);
+    }
+    let threads = threads.clamp(1, n_chunks);
     if threads <= 1 {
         let mut scratch = make_scratch();
         for ci in 0..n_chunks {
@@ -1107,6 +1110,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_walk_builds_no_scratch() {
+        let op = FpOp::new(FpOpKind::Add, Precision::Single);
+        let empty = || vec![OpErrorStats::empty(op, VoltageReduction::VR20, 8)];
+        let no_scratch = || panic!("scratch built for an empty walk");
+        let run = |_: usize, _s: &mut ()| -> Vec<OpErrorStats> { unreachable!() };
+        for threads in [1usize, 2] {
+            let merged = run_chunked(0, threads, no_scratch, empty, run).expect("pool");
+            assert_eq!(merged[0].samples, 0);
+        }
+    }
+
+    #[test]
     fn worker_panic_surfaces_as_pool_error() {
         let op = FpOp::new(FpOpKind::Add, Precision::Single);
         let empty = || vec![OpErrorStats::empty(op, VoltageReduction::VR20, 8)];
@@ -1130,19 +1145,22 @@ mod tests {
             lanes: Some(3),
             ..DtaTuning::default()
         };
-        let err = dta_campaign(
-            bank.unit(op),
-            &pairs,
-            spec.clk,
-            &[VoltageReduction::VR20],
-            1,
-            tuning,
-        )
-        .expect_err("lane width 3 must be rejected");
-        assert!(
-            matches!(err, TeiError::Config { .. }),
-            "unsupported lanes must be a config error, got {err}"
-        );
+        // An empty walk builds no worker engine but is still validated.
+        for pairs in [&pairs[..], &[]] {
+            let err = dta_campaign(
+                bank.unit(op),
+                pairs,
+                spec.clk,
+                &[VoltageReduction::VR20],
+                1,
+                tuning,
+            )
+            .expect_err("lane width 3 must be rejected");
+            assert!(
+                matches!(err, TeiError::Config { .. }),
+                "unsupported lanes must be a config error, got {err}"
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,10 @@
 
 mod arith;
 mod convert;
+mod native;
 mod ops;
 
+pub use native::native_binary;
 pub use ops::{apply as apply_op, FpOp, FpOpKind, Precision};
 
 use serde::{Deserialize, Serialize};

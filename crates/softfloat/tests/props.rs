@@ -1,8 +1,13 @@
 //! Property tests: tei-softfloat must agree bit-for-bit with the host's
-//! IEEE-754 round-to-nearest-even arithmetic on arbitrary bit patterns.
+//! IEEE-754 round-to-nearest-even arithmetic on arbitrary bit patterns,
+//! and its host-FPU fast path must agree bit-for-bit with the software
+//! path wherever it fires.
 
 use proptest::prelude::*;
-use tei_softfloat::{add, div, f2i, i2f, mul, sub, Flags, Format, FpuConfig};
+use tei_softfloat::{
+    add, apply_op, div, f2i, i2f, mul, native_binary, sub, Flags, Format, FpOp, FpOpKind,
+    FpuConfig, Precision,
+};
 
 /// Generate interesting f64 bit patterns: uniform bits hit NaN/Inf/subnormal
 /// ranges often enough to exercise every special path.
@@ -27,6 +32,69 @@ fn any_f32_bits() -> impl Strategy<Value = u32> {
         (any::<bool>(), 0u32..256, any::<u32>())
             .prop_map(|(s, e, f)| { ((s as u32) << 31) | (e << 23) | (f & ((1 << 23) - 1)) }),
     ]
+}
+
+/// A normal encoding of `fmt` with the biased exponent clamped into the
+/// normal range and `frac` truncated to the fraction field.
+fn normal_bits(fmt: Format, sign: bool, exp: i64, frac: u64) -> u64 {
+    let exp = exp.clamp(1, fmt.max_exp() as i64 - 1) as u64;
+    ((sign as u64) << (fmt.width() - 1))
+        | (exp << fmt.frac_bits)
+        | (frac & ((1u64 << fmt.frac_bits) - 1))
+}
+
+/// Normal operand pairs whose exact sum, difference, product or quotient
+/// lands within a few binades of the min-normal or the max-finite
+/// boundary (or overflows past it), where the fast path must hand over.
+/// Fractions favour all-zeros and all-ones so results sit exactly on,
+/// or round across, a binade edge.
+fn boundary_pair(fmt: Format) -> impl Strategy<Value = (u64, u64)> {
+    let max = fmt.max_exp() as i64;
+    let bias = fmt.bias() as i64;
+    let frac = || prop_oneof![any::<u64>(), Just(0), Just(u64::MAX), Just(1)];
+    (
+        0u8..4,
+        0usize..7,
+        -2i64..=2,
+        1..max,
+        (any::<bool>(), any::<bool>(), frac(), frac()),
+    )
+        .prop_map(move |(shape, target, jitter, ea, (sa, sb, fa, fb))| {
+            let t = [-1, 1, 2, 3, max - 2, max - 1, max][target] + jitter;
+            let (ea, eb) = match shape {
+                0 => (ea, t - ea + bias), // product exponent ≈ t
+                1 => (ea, ea + bias - t), // quotient exponent ≈ t
+                _ => (t, t),              // sum / cancellation near t
+            };
+            let a = normal_bits(fmt, sa, ea, fa);
+            let b = if shape == 3 {
+                a // x − x, x + x, x · x, x / x
+            } else {
+                normal_bits(fmt, sb, eb, fb)
+            };
+            (a, b)
+        })
+}
+
+/// Whenever the fast path fires, it must equal the software result under
+/// both FTZ settings and the software path must raise no trap flag.
+fn check_native(precision: Precision, a: u64, b: u64) -> Result<(), TestCaseError> {
+    for kind in [FpOpKind::Add, FpOpKind::Sub, FpOpKind::Mul, FpOpKind::Div] {
+        let op = FpOp::new(kind, precision);
+        let Some(native) = native_binary(op, a, b) else {
+            continue;
+        };
+        for ftz in [false, true] {
+            let mut fl = Flags::default();
+            let soft = apply_op(op, a, b, FpuConfig { ftz }, &mut fl);
+            prop_assert_eq!(native, soft, "{} ftz={} on ({:#x}, {:#x})", op, ftz, a, b);
+            prop_assert!(
+                !fl.invalid && !fl.div_by_zero,
+                "{op} ftz={ftz} on ({a:#x}, {b:#x}) traps in software"
+            );
+        }
+    }
+    Ok(())
 }
 
 fn check_f64(ours: u64, native: f64, what: &str, a: u64, b: u64) -> Result<(), TestCaseError> {
@@ -143,4 +211,89 @@ proptest! {
         prop_assert_eq!(add(fmt, a, b, cfg, &mut fl), add(fmt, b, a, cfg, &mut fl));
         prop_assert_eq!(mul(fmt, a, b, cfg, &mut fl), mul(fmt, b, a, cfg, &mut fl));
     }
+}
+
+proptest! {
+    // The fast path is cheap to check and fires on only part of each
+    // generator's output, so it gets more cases than the blocks above.
+    #![proptest_config(ProptestConfig::with_cases(1 << 16))]
+
+    #[test]
+    fn prop_native_f64_matches_softfloat(
+        (a, b) in prop_oneof![
+            (any_f64_bits(), any_f64_bits()),
+            boundary_pair(Format::F64),
+        ]
+    ) {
+        check_native(Precision::Double, a, b)?;
+    }
+
+    #[test]
+    fn prop_native_f32_matches_softfloat(
+        (a, b) in prop_oneof![
+            (any_f32_bits().prop_map(u64::from), any_f32_bits().prop_map(u64::from)),
+            boundary_pair(Format::F32),
+        ]
+    ) {
+        check_native(Precision::Single, a, b)?;
+    }
+}
+
+/// The fast path on `f64` operands.
+fn native_d(kind: FpOpKind, x: f64, y: f64) -> Option<u64> {
+    native_binary(FpOp::new(kind, Precision::Double), x.to_bits(), y.to_bits())
+}
+
+/// The fast path on `f32` operands.
+fn native_s(kind: FpOpKind, x: f32, y: f32) -> Option<u64> {
+    let (a, b) = (x.to_bits().into(), y.to_bits().into());
+    native_binary(FpOp::new(kind, Precision::Single), a, b)
+}
+
+#[test]
+fn native_fast_path_hands_boundary_results_to_softfloat() {
+    use FpOpKind::{Add, Div, ItoF, Mul, Sub};
+    let min = f64::MIN_POSITIVE;
+
+    // (1 − 2⁻⁵³) × 2⁻¹⁰²² rounds up to the smallest normal on the host,
+    // but software detects tininess before rounding and FTZ flushes it.
+    let below_one = 1.0 - 2f64.powi(-53);
+    assert_eq!(below_one * min, min);
+    let mut fl = Flags::default();
+    let ftz = mul(
+        Format::F64,
+        below_one.to_bits(),
+        min.to_bits(),
+        FpuConfig { ftz: true },
+        &mut fl,
+    );
+    assert_eq!(ftz, 0);
+    assert_eq!(native_d(Mul, below_one, min), None);
+    assert_eq!(native_s(Mul, 1.0 - 2f32.powi(-24), f32::MIN_POSITIVE), None);
+    // Even an exact result in the smallest normal binade falls back.
+    assert_eq!(native_d(Mul, min, 1.0), None);
+
+    // Exact cancellation gives +0, which the fast path never returns.
+    for x in [1.5, -3.25, f64::MAX, 2f64.powi(-1000)] {
+        assert_eq!(native_d(Sub, x, x), None);
+        assert_eq!(native_d(Add, x, -x), None);
+    }
+    assert_eq!(native_s(Sub, 7.0, 7.0), None);
+
+    // Overflow and non-normal operands fall back; conversions never fire.
+    assert_eq!(native_d(Add, f64::MAX, f64::MAX), None);
+    assert_eq!(native_d(Div, 1.0, 0.0), None);
+    assert_eq!(native_d(Mul, f64::INFINITY, 2.0), None);
+    assert_eq!(native_d(Add, min / 2.0, 1.0), None);
+    assert_eq!(
+        native_binary(FpOp::new(ItoF, Precision::Double), 3, 0),
+        None
+    );
+
+    // Ordinary results, one binade above min-normal and at max-finite,
+    // take the fast path.
+    assert_eq!(native_d(Mul, 2.0 * min, 1.0), Some((2.0 * min).to_bits()));
+    assert_eq!(native_d(Mul, f64::MAX, 1.0), Some(f64::MAX.to_bits()));
+    assert_eq!(native_d(Div, 1.0, 3.0), Some((1.0f64 / 3.0).to_bits()));
+    assert_eq!(native_s(Add, 1.5, 2.25), Some(3.75f32.to_bits().into()));
 }

@@ -2,7 +2,7 @@
 //! out-of-order cores so the two can never disagree on values.
 
 use tei_isa::{FReg, Instr, Reg};
-use tei_softfloat::{apply_op, Flags, FpOp, FpuConfig};
+use tei_softfloat::{apply_op, native_binary, Flags, FpOp, FpuConfig};
 
 /// Destination register class of an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +213,24 @@ pub fn fp_op(cfg: FpuConfig, i: &Instr, fa: u64, fb: u64, xa: u64) -> FpOutcome 
             FcvtLD { .. } | FcvtWS { .. } => (fa, 0),
             _ => (fa, fb),
         };
-        let bits = apply_op(op, a, b, cfg, &mut flags);
+        // Binaries on normal operands run on the host FPU, which is
+        // bit-identical there and traps on nothing (see `native_binary`).
+        let bits = match native_binary(op, a, b) {
+            Some(bits) => {
+                #[cfg(debug_assertions)]
+                {
+                    let mut soft = Flags::default();
+                    assert_eq!(
+                        bits,
+                        apply_op(op, a, b, cfg, &mut soft),
+                        "{op} {a:#x} {b:#x}"
+                    );
+                    assert!(!soft.invalid && !soft.div_by_zero, "{op} {a:#x} {b:#x}");
+                }
+                bits
+            }
+            None => apply_op(op, a, b, cfg, &mut flags),
+        };
         return FpOutcome {
             bits,
             modeled,
