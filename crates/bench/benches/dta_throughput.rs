@@ -17,8 +17,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::Instant;
 use tei_bench::scaling::{detected_cores, ScalingPlan};
 use tei_core::dev::{
-    dta_campaign, dta_engine, random_operand_pairs, resolve_lanes, resolve_prune, safe_bit_counts,
-    DtaTuning, KernelBackend, PrunePolicy, PRUNE_MIN_SAFE_FRACTION,
+    dta_campaign, dta_engine, random_operand_pairs, resolve_lanes, safe_bit_counts, DtaTuning,
+    KernelBackend,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -171,10 +171,6 @@ fn campaign_rate(
 fn bench_dta_throughput(c: &mut Criterion) {
     let measured = bench_mode();
     let smoke = std::env::var("TEI_SCALING_SMOKE").is_ok_and(|v| v == "1");
-    // The codegen ablation rows intentionally measure the generated
-    // kernel at *every* lane width, including W=1 where the default
-    // dispatch falls back to the faster interpreter — pin it.
-    std::env::set_var("TEI_KERNEL_FORCE", "1");
     let (unit, spec) = dmul_unit();
     let n_pairs = if measured { 8192 } else { 32 };
     let min_secs = if measured { 1.0 } else { 0.0 };
@@ -183,12 +179,10 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let cores = detected_cores();
     let campaign_tuning = DtaTuning::default();
     // What the default tuning actually resolves to on this host: the
-    // lane auto-pick consults the engine that will run, and the prune
-    // auto-decision consults the slack oracle's measured safe fraction.
+    // lane auto-pick consults the engine that will run.
     let fresh_kernel = tei_kernels::registry().covers(&unit);
     let campaign_lanes =
         resolve_lanes(campaign_tuning.lanes, campaign_tuning.backend, fresh_kernel);
-    let prune_decision = resolve_prune(&unit, spec.clk, &LEVELS, campaign_tuning.prune);
     // An honest scaling curve never oversubscribes; the shared plan
     // drops unmeasurable counts and words the degraded flag (the same
     // helper the fabric bench reports through).
@@ -229,22 +223,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
             });
         });
     }
-    group.bench_function(BenchmarkId::from_parameter("campaign_1_unpruned"), |b| {
-        b.iter(|| {
-            dta_campaign(
-                &unit,
-                &pairs,
-                spec.clk,
-                &LEVELS,
-                1,
-                DtaTuning {
-                    prune: PrunePolicy::ForceOff,
-                    ..campaign_tuning
-                },
-            )
-            .expect("DTA campaign")
-        });
-    });
     group.finish();
 
     // Machine-readable summary (measured mode only, so `cargo test`
@@ -264,32 +242,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
         .iter()
         .map(|&t| (t, campaign_rate(&unit, &pairs, spec.clk, t, min_secs)))
         .collect();
-    // Pruning ablation: the same serial campaign with the slack-oracle
-    // safe-bit pruning *forced* on and off (the default campaign runs
-    // the auto decision recorded below, which refuses pruning when the
-    // oracle proves too few bits safe to pay for the bookkeeping).
-    let tuned_rate = |tuning: DtaTuning| {
-        pairs_per_sec(
-            || {
-                criterion::black_box(
-                    dta_campaign(&unit, &pairs, spec.clk, &LEVELS, 1, tuning)
-                        .expect("DTA campaign"),
-                );
-                pairs.len() - 1
-            },
-            min_secs,
-        )
-    };
-    let campaign_unpruned = tuned_rate(DtaTuning {
-        prune: PrunePolicy::ForceOff,
-        ..campaign_tuning
-    });
-    let campaign_pruned = tuned_rate(DtaTuning {
-        prune: PrunePolicy::ForceOn,
-        ..campaign_tuning
-    });
     let speedup = kernel_w1 / sim_rate;
-    let pruning_speedup = campaign_pruned / campaign_unpruned;
     let safe_bits = safe_bit_counts(&unit, spec.clk, &LEVELS);
     let codegen_best = codegen_w1.max(codegen_w4).max(codegen_w8);
     println!(
@@ -297,8 +250,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
          {kernel_w1:.0} ({speedup:.1}x) / w4 {kernel_w4:.0} ({:.1}x) / w8 {kernel_w8:.0} \
          ({:.1}x of w1), codegen w1 {codegen_w1:.0} / w4 {codegen_w4:.0} ({:.2}x of interp \
          w4) / w8 {codegen_w8:.0}, campaign lanes={campaign_lanes} (auto={}) scaling {:?}, \
-         forced-prune x1 {campaign_pruned:.0} vs unpruned {campaign_unpruned:.0} pairs/s \
-         ({pruning_speedup:.2}x, safe bits {safe_bits:?}, auto prune {})",
+         safe bits {safe_bits:?}",
         kernel_w4 / kernel_w1,
         kernel_w8 / kernel_w1,
         codegen_w4 / kernel_w4,
@@ -307,7 +259,6 @@ fn bench_dta_throughput(c: &mut Criterion) {
             .iter()
             .map(|&(t, r)| format!("x{t}: {r:.0}"))
             .collect::<Vec<_>>(),
-        if prune_decision.enabled { "on" } else { "off" },
     );
     if measured {
         let report = serde_json::json!({
@@ -349,15 +300,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
             "thread_scaling_requested": SCALING_THREADS.to_vec(),
             "thread_scaling_degraded": scaling_plan.degraded(),
             "thread_scaling_degraded_reason": scaling_plan.degraded_reason(),
-            "pruning": serde_json::json!({
-                "campaign_1_thread_pruned_pairs_per_sec": campaign_pruned,
-                "campaign_1_thread_unpruned_pairs_per_sec": campaign_unpruned,
-                "forced_pruning_speedup": pruning_speedup,
-                "safe_bits_per_level": safe_bits,
-                "safe_fraction": prune_decision.safe_fraction,
-                "auto_threshold": PRUNE_MIN_SAFE_FRACTION,
-                "auto_enabled": prune_decision.enabled,
-            }),
+            "safe_bits_per_level": safe_bits,
         });
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dta.json");
         let text = serde_json::to_string_pretty(&report).expect("serialize bench report");

@@ -34,7 +34,7 @@ use crate::models::InjectionModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -190,26 +190,15 @@ impl GoldenRun {
 }
 
 /// How each injection run replays the corrupted execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReplayMode {
     /// Fresh core per run, full re-execution from instruction zero (the
     /// original engine; kept as the reference baseline).
     FromZero,
     /// Fork from the nearest golden checkpoint, fast-forward hook-free to
     /// the target, and cut the run short on state re-convergence.
-    /// `memoize` additionally dedupes repeated `(target, mask)` draws
-    /// behind a per-cell concurrent map (outcomes are deterministic given
-    /// the pair, so only unique pairs are replayed).
-    Checkpointed {
-        /// Enable the `(target, mask)` outcome cache.
-        memoize: bool,
-    },
-}
-
-impl Default for ReplayMode {
-    fn default() -> Self {
-        ReplayMode::Checkpointed { memoize: true }
-    }
+    #[default]
+    Checkpointed,
 }
 
 /// Test-only chaos hooks, used to exercise the fault-tolerance machinery
@@ -449,23 +438,6 @@ impl CellPlan {
     }
 }
 
-/// Per-cell memoization of replay outcomes: given the same `(target FP
-/// index, XOR mask)` pair the corrupted execution is deterministic, so
-/// repeated draws across a cell's runs replay only once. The `bool`
-/// records whether the target event fired.
-type MemoCache = Mutex<HashMap<(u64, u64), (Outcome, bool)>>;
-
-/// Lock a memo-cache mutex, tolerating poisoning: entries are inserted
-/// atomically, so a panic in another worker never leaves a torn map.
-fn lock_cache(
-    cache: &MemoCache,
-) -> std::sync::MutexGuard<'_, HashMap<(u64, u64), (Outcome, bool)>> {
-    match cache.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// What a run's seeded RNG draw selected, before any replay happens.
 /// Pure and panic-free, so quarantine reporting can re-derive the repro
 /// triple of a run that panicked mid-replay.
@@ -494,8 +466,7 @@ struct RunTally {
     mask: u64,
 }
 
-/// Per-worker replay context: the reusable fork core (checkpointed mode)
-/// plus a reference to the shared memo cache.
+/// Per-worker replay context: the reusable fork core (checkpointed mode).
 struct Runner<'a, M: ?Sized> {
     golden: &'a GoldenRun,
     model: &'a M,
@@ -503,7 +474,6 @@ struct Runner<'a, M: ?Sized> {
     timeout_steps: u64,
     /// Reusable core for checkpoint restores; `None` in from-zero mode.
     fork: Option<FuncCore>,
-    cache: Option<&'a MemoCache>,
 }
 
 impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
@@ -513,11 +483,10 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
         plan: &'a CellPlan,
         timeout_steps: u64,
         mode: ReplayMode,
-        cache: Option<&'a MemoCache>,
     ) -> Runner<'a, M> {
         let fork = match mode {
             ReplayMode::FromZero => None,
-            ReplayMode::Checkpointed { .. } => {
+            ReplayMode::Checkpointed => {
                 Some(FuncCore::with_memory(&golden.program, golden.mem_bytes))
             }
         };
@@ -527,7 +496,6 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
             plan,
             timeout_steps,
             fork,
-            cache,
         }
     }
 
@@ -597,19 +565,7 @@ impl<'a, M: InjectionModel + ?Sized> Runner<'a, M> {
             Draw::Inject { target, mask } => (target, mask),
         };
 
-        let (outcome, fired) = if let Some(cache) = self.cache {
-            let hit = lock_cache(cache).get(&(target, mask)).copied();
-            match hit {
-                Some(memoized) => memoized,
-                None => {
-                    let fresh = self.replay(target, mask);
-                    lock_cache(cache).insert((target, mask), fresh);
-                    fresh
-                }
-            }
-        } else {
-            self.replay(target, mask)
-        };
+        let (outcome, fired) = self.replay(target, mask);
         debug_assert!(fired, "target FP event {target} never fired");
         RunTally {
             outcome,
@@ -740,9 +696,8 @@ fn run_isolated<M: InjectionModel + ?Sized>(
         match result {
             Ok(tally) => return IsolatedRun::Tally(tally, attempt > 0, r as u64, seed),
             Err(payload) => {
-                // The panic may have left the reusable fork core (and in
-                // principle the memo cache lock) mid-operation; rebuild
-                // before the retry touches them.
+                // The panic may have left the reusable fork core
+                // mid-operation; rebuild it before the retry touches it.
                 runner.reset_fork();
                 if attempt == 1 {
                     let message = payload
@@ -903,10 +858,6 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
     let timeout_steps = (golden.instructions as f64 * cfg.timeout_factor).ceil() as u64;
     let seed = cell_seed(cfg, model);
     let plan = CellPlan::new(golden, model);
-    let cache: Option<MemoCache> = match cfg.mode {
-        ReplayMode::Checkpointed { memoize: true } => Some(Mutex::new(HashMap::new())),
-        _ => None,
-    };
     let span_len = span.len();
     let threads = cfg.threads.clamp(1, span_len.max(1));
     let chunk = span_len.div_ceil(threads).max(1);
@@ -929,14 +880,7 @@ fn execute_cell<M: InjectionModel + Sync + ?Sized>(
         let mut local = OutcomeCounts::default();
         let mut quarantined = Vec::new();
         let mut interrupted = false;
-        let mut runner = Runner::new(
-            golden,
-            model,
-            &plan,
-            timeout_steps,
-            cfg.mode,
-            cache.as_ref(),
-        );
+        let mut runner = Runner::new(golden, model, &plan, timeout_steps, cfg.mode);
         for r in lo..hi {
             if skip.contains(&(r as u64)) {
                 continue;

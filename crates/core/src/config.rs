@@ -164,15 +164,6 @@ pub fn default_backend() -> crate::dev::KernelBackend {
     }
 }
 
-/// True when `TEI_KERNEL_FORCE=1` pins the requested kernel backend even
-/// where a measured-faster one exists (currently: `TEI_KERNEL=codegen` at
-/// lane width 1, where the interpreter is faster — see BENCH_dta.json).
-/// Any other value counts as unset; campaign statistics are bit-identical
-/// either way.
-pub fn kernel_force() -> bool {
-    std::env::var("TEI_KERNEL_FORCE").is_ok_and(|v| v.trim() == "1")
-}
-
 /// Bounds for `TEI_FABRIC_TICK` (milliseconds): below 10 ms the tick
 /// thread busy-spins, above a minute the fabric's liveness machinery
 /// (lease expiry, heartbeat checks, child reaping) is effectively off.
@@ -301,15 +292,6 @@ pub fn validate_env() -> Result<(), TeiError> {
             });
         }
     }
-    if let Ok(v) = std::env::var("TEI_KERNEL_FORCE") {
-        let v = v.trim();
-        if !matches!(v, "0" | "1") {
-            return Err(TeiError::Config {
-                knob: "TEI_KERNEL_FORCE".to_string(),
-                reason: format!("unknown value {v:?} (supported: 0, 1)"),
-            });
-        }
-    }
     Ok(())
 }
 
@@ -390,19 +372,6 @@ mod tests {
         assert!(validate_env().is_ok());
         std::env::remove_var("TEI_FABRIC_TICK");
         assert_eq!(default_fabric_tick(), std::time::Duration::from_millis(200));
-        assert!(validate_env().is_ok());
-        std::env::set_var("TEI_KERNEL_FORCE", "yes");
-        let err = validate_env().unwrap_err();
-        assert!(err.to_string().contains("TEI_KERNEL_FORCE"));
-        assert!(!kernel_force());
-        std::env::set_var("TEI_KERNEL_FORCE", "1");
-        assert!(kernel_force());
-        assert!(validate_env().is_ok());
-        std::env::set_var("TEI_KERNEL_FORCE", "0");
-        assert!(!kernel_force());
-        assert!(validate_env().is_ok());
-        std::env::remove_var("TEI_KERNEL_FORCE");
-        assert!(!kernel_force());
         assert!(validate_env().is_ok());
     }
 }

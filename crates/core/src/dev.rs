@@ -223,107 +223,27 @@ pub enum KernelBackend {
     /// Always the interpreted kernel — the universal fallback that
     /// handles runtime-parsed netlists and the `interp` ablation side.
     Interpreter,
-    /// Require the generated kernel; campaigns over units without a
-    /// fresh generated kernel fail with a config error instead of
-    /// silently degrading (`TEI_KERNEL=codegen`). Exception: at lane
-    /// width 1 the generated kernel is the measured *loser* (0.79x vs
-    /// the interpreter, BENCH_dta.json), so [`dta_engine`] warns once
-    /// and runs the interpreter instead — results are bit-identical —
-    /// unless `TEI_KERNEL_FORCE=1` pins the requested backend.
+    /// Require the generated kernel at every lane width; campaigns over
+    /// units without a fresh generated kernel fail with a config error
+    /// instead of silently degrading (`TEI_KERNEL=codegen`).
     Generated,
 }
 
-/// Policy for the static-slack safe-bit skip of the DTA inner loop.
-///
-/// The skip is exact, not approximate: dynamic settle times never
-/// exceed the static bound (the `sanitize-arrivals` feature asserts
-/// this), and the campaign's nominal clamp only lowers them further, so
-/// a statically-safe bit can never contribute to an error mask. Whether
-/// it *pays* is a different question: when the oracle proves almost
-/// nothing safe (the shipped FPU adders at VR15/VR20 prove 2 of 128
-/// result bits), the filtered live-bit lists are nearly full-length and
-/// the bookkeeping overhead eats the savings — the `pruning` ablation
-/// in `BENCH_dta.json` measured 0.995x, a regression dressed up as an
-/// optimization. [`PrunePolicy::Auto`] therefore consults the measured
-/// break-even fraction instead of pruning unconditionally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrunePolicy {
-    /// Prune only when the oracle proves at least
-    /// [`PRUNE_MIN_SAFE_FRACTION`] of the thresholded bits safe.
-    #[default]
-    Auto,
-    /// Always prune (the pre-decision behavior; ablation use).
-    ForceOn,
-    /// Never prune (ablation use).
-    ForceOff,
-}
+/// Auto lane width of the interpreted kernel (`BENCH_dta.json` lanes
+/// ablation on d-mul, 2-core host: W4 114k, W8 106k, W1 45k pairs/s).
+pub const INTERP_LANES: usize = 4;
 
-/// Minimum fraction of (bit, corner) threshold work the static oracle
-/// must eliminate for [`PrunePolicy::Auto`] to enable pruning. Below
-/// this the filtered list is effectively the full list and the skip is
-/// measured overhead, not savings (`pruning_speedup` 0.995x at 1.6%
-/// safe in `BENCH_dta.json`); one-sixteenth is comfortably past
-/// break-even while still letting genuinely prunable corners benefit.
-pub const PRUNE_MIN_SAFE_FRACTION: f64 = 1.0 / 16.0;
+/// Auto lane width of the generated kernel (`BENCH_dta.json` codegen
+/// ablation on d-mul, 2-core host: W8 216k, W4 111k, W1 33k pairs/s).
+pub const CODEGEN_LANES: usize = 8;
 
-/// The resolved pruning choice for one campaign, recorded so benches
-/// and logs report what actually ran instead of what was requested.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PruneDecision {
-    /// Whether the inner loop skips statically-safe bits.
-    pub enabled: bool,
-    /// Fraction of (bit, corner) pairs the oracle proves safe.
-    pub safe_fraction: f64,
-    /// The policy the decision was resolved from.
-    pub policy: PrunePolicy,
-}
-
-/// Resolve a [`PrunePolicy`] against the static slack oracle for `unit`
-/// at clock `clk` over the campaign's corners. Pruning is exact at any
-/// setting, so the decision can never change statistics — only whether
-/// the inner loop carries the filtered-list bookkeeping.
-pub fn resolve_prune(
-    unit: &FpuUnit,
-    clk: f64,
-    levels: &[VoltageReduction],
-    policy: PrunePolicy,
-) -> PruneDecision {
-    let safe: usize = safe_bit_counts(unit, clk, levels).iter().sum();
-    let total = unit.result_port().len() * levels.len();
-    let safe_fraction = if total == 0 {
-        0.0
-    } else {
-        safe as f64 / total as f64
-    };
-    let enabled = match policy {
-        PrunePolicy::ForceOn => true,
-        PrunePolicy::ForceOff => false,
-        PrunePolicy::Auto => safe_fraction >= PRUNE_MIN_SAFE_FRACTION,
-    };
-    PruneDecision {
-        enabled,
-        safe_fraction,
-        policy,
-    }
-}
-
-/// Measured lane-width preference of the interpreted kernel, best
-/// first (`BENCH_dta.json` lanes ablation: W4 119k, W8 115k, W1 77k
-/// pairs/s — W8's extra settle planes thrash the interpreter's cache).
-pub const INTERP_LANE_ORDER: [usize; 3] = [4, 8, 1];
-
-/// Measured lane-width preference of the generated kernel, best first
-/// (`BENCH_dta.json` codegen ablation: W8 263k, W4 142k, W1 61k
-/// pairs/s — the specialized dense sweep keeps scaling past W4).
-pub const CODEGEN_LANE_ORDER: [usize; 3] = [8, 4, 1];
-
-/// Resolve a requested lane width (`None` = auto) to a concrete one by
-/// consulting the measured per-backend ordering: the engine that will
-/// actually run decides, so auto no longer hands the interpreter's
-/// best width to the generated kernel or vice versa. `fresh_kernel` is
-/// whether [`tei_kernels::registry`] holds a fingerprint-fresh kernel
-/// for the unit (i.e. whether [`KernelBackend::Auto`] dispatches to
-/// the generated kernel at W >= 4).
+/// Resolve a requested lane width (`None` = auto) to a concrete one:
+/// the engine that will actually run decides, so auto never hands the
+/// interpreter's width to the generated kernel or vice versa.
+/// `fresh_kernel` is whether [`tei_kernels::registry`] holds a
+/// fingerprint-fresh kernel for the unit (i.e. whether
+/// [`KernelBackend::Auto`] dispatches to the generated kernel at
+/// W >= 4).
 pub fn resolve_lanes(
     requested: Option<usize>,
     backend: KernelBackend,
@@ -338,21 +258,17 @@ pub fn resolve_lanes(
         KernelBackend::Interpreter => false,
     };
     if generated {
-        CODEGEN_LANE_ORDER[0]
+        CODEGEN_LANES
     } else {
-        INTERP_LANE_ORDER[0]
+        INTERP_LANES
     }
 }
 
 /// Tuning knobs of the DTA campaign inner loop. Tuning never changes
-/// the produced statistics — only how much work the inner loop performs
-/// and how wide its windows are.
+/// the produced statistics — only how wide the windows are and which
+/// engine computes them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtaTuning {
-    /// Safe-bit pruning policy (see [`PrunePolicy`]; the default
-    /// [`PrunePolicy::Auto`] prunes only past the measured break-even
-    /// fraction).
-    pub prune: PrunePolicy,
     /// Window lane words of the bit-sliced kernel: 1, 4, or 8 `u64`s
     /// per net, i.e. 64 / 256 / 512 input vectors per whole-circuit
     /// evaluation pass (see [`tei_timing::ArrivalKernel`]). `None`
@@ -369,7 +285,6 @@ pub struct DtaTuning {
 impl Default for DtaTuning {
     fn default() -> Self {
         DtaTuning {
-            prune: PrunePolicy::Auto,
             lanes: config::default_lanes(),
             backend: config::default_backend(),
         }
@@ -404,30 +319,16 @@ pub fn dta_engine<'u>(
         // Auto picks the measured winner per lane width: at W = 1 a
         // single-transition batch toggles ~40% of the nets, under the
         // interpreter's sparse-walk threshold, so its changed-list walk
-        // beats the specialized kernel's always-dense sweep (~0.8x in
+        // beats the specialized kernel's always-dense sweep (0.74x in
         // the BENCH_dta.json `codegen` ablation); at W >= 4 the union
-        // is dense and the generated kernel wins (1.2x at 4, 2.2x at
-        // 8). `TEI_KERNEL=codegen` still forces the generated kernel
-        // at any width.
+        // is dense and the generated kernel matches the interpreter at
+        // W = 4 (0.97x) and wins at W = 8 (2.0x). `TEI_KERNEL=codegen`
+        // forces the generated kernel at any width.
         KernelBackend::Auto if lanes < 4 => Ok(interp()),
         KernelBackend::Auto => Ok(tei_kernels::registry()
             .make_engine(unit, lanes)
             .map(|e| e as Box<dyn ArrivalEngine + 'u>)
             .unwrap_or_else(interp)),
-        // At W = 1 the generated kernel is the measured loser (0.79x,
-        // BENCH_dta.json codegen ablation): honoring `codegen` literally
-        // would silently run the slow path. Warn once and use the
-        // interpreter — bit-identical results — unless the caller pins
-        // the backend with TEI_KERNEL_FORCE=1 (ablation benches do).
-        KernelBackend::Generated if lanes == 1 && !config::kernel_force() => {
-            config::warn_once(
-                "TEI_KERNEL",
-                "codegen at lane width 1 is measured slower than the interpreter \
-                 (0.79x, BENCH_dta.json); running the interpreted backend instead \
-                 (bit-identical results; set TEI_KERNEL_FORCE=1 to pin codegen)",
-            );
-            Ok(interp())
-        }
         KernelBackend::Generated => tei_kernels::registry()
             .make_engine(unit, lanes)
             .map(|e| e as Box<dyn ArrivalEngine + 'u>)
@@ -443,14 +344,17 @@ pub fn dta_engine<'u>(
 }
 
 /// Per-corner live output bits: the `(bit, net)` pairs the inner loop
-/// must actually threshold. With pruning on, bits whose static arrival
-/// bound keeps them inside the clock period at that corner are dropped.
+/// must actually threshold. Bits whose static arrival bound keeps them
+/// inside the clock period at that corner are dropped — exactly, not
+/// approximately: dynamic settle times never exceed the static bound
+/// (the `sanitize-arrivals` feature re-scans every bit of every
+/// transition to assert it), and the nominal clamp only lowers them
+/// further, so a statically-safe bit can never enter an error mask.
 fn live_bits(
     compiled: &CompiledNetlist,
     outputs: &[NetId],
     factors: &[f64],
     clk: f64,
-    prune: bool,
 ) -> Vec<Vec<(usize, NetId)>> {
     factors
         .iter()
@@ -458,7 +362,7 @@ fn live_bits(
             outputs
                 .iter()
                 .enumerate()
-                .filter(|&(_, &net)| !prune || compiled.static_bound(net) * k > clk)
+                .filter(|&(_, &net)| compiled.static_bound(net) * k > clk)
                 .map(|(bit, &net)| (bit, net))
                 .collect()
         })
@@ -466,8 +370,8 @@ fn live_bits(
 }
 
 /// Output bits per VR level that the static slack oracle proves safe for
-/// `unit` at clock period `clk` — the work safe-bit pruning
-/// ([`DtaTuning::prune`]) removes from every transition of a campaign.
+/// `unit` at clock period `clk` — the work safe-bit pruning removes
+/// from every transition of a campaign.
 pub fn safe_bit_counts(unit: &FpuUnit, clk: f64, levels: &[VoltageReduction]) -> Vec<usize> {
     let compiled = unit.dta_compiled();
     let outputs = unit.result_port();
@@ -766,7 +670,7 @@ impl Walk<'_> {
 
 /// The body both campaign entry points share: resolve the lane width
 /// and validate the engine (so config errors surface before any worker
-/// spawns), resolve pruning into per-corner live bits, then walk
+/// spawns), prune statically safe bits per corner, then walk
 /// contiguous chunks of items across `threads` workers and merge them
 /// in chunk order, which reproduces the serial walk byte for byte.
 /// Each chunk re-establishes circuit state from its own first vector.
@@ -786,8 +690,7 @@ fn run_dta_campaign(
     drop(dta_engine(unit, lanes, tuning.backend)?);
     let outputs = unit.result_port();
     let factors: Vec<f64> = levels.iter().map(|vr| vr.derating_factor()).collect();
-    let prune = resolve_prune(unit, clk, levels, tuning.prune);
-    let live = live_bits(unit.dta_compiled(), outputs, &factors, clk, prune.enabled);
+    let live = live_bits(unit.dta_compiled(), outputs, &factors, clk);
 
     let items = walk.items();
     let vectors = lanes * 64;
@@ -826,10 +729,10 @@ fn run_dta_campaign(
 /// Work is distributed in chunks across `threads` worker threads; the
 /// parallel output is byte-identical to the single-threaded one.
 ///
-/// `tuning` never changes the produced statistics — only how much work
-/// the inner loop performs, how wide its lane words are, and which
-/// engine backend runs it. [`DtaTuning::default`] is [`PrunePolicy::Auto`]
-/// with the `TEI_LANES` lane width and the `TEI_KERNEL` backend.
+/// `tuning` never changes the produced statistics — only how wide the
+/// lane words are and which engine backend runs them.
+/// [`DtaTuning::default`] takes the `TEI_LANES` lane width and the
+/// `TEI_KERNEL` backend.
 ///
 /// [`ArrivalKernel`]: tei_timing::ArrivalKernel
 ///
@@ -1177,33 +1080,24 @@ mod tests {
                 }
             }
         }
-        // Auto picks the head of the measured order for the engine that
-        // will actually run: the interpreter's best is W4 (W8 was the
-        // measured regression), the generated kernel's best is W8.
+        // Auto picks the width of the engine that will actually run.
         assert_eq!(
             resolve_lanes(None, KernelBackend::Interpreter, true),
-            INTERP_LANE_ORDER[0]
+            INTERP_LANES
         );
         assert_eq!(
             resolve_lanes(None, KernelBackend::Auto, false),
-            INTERP_LANE_ORDER[0],
+            INTERP_LANES,
             "auto without a fresh kernel runs the interpreter"
         );
         assert_eq!(
             resolve_lanes(None, KernelBackend::Auto, true),
-            CODEGEN_LANE_ORDER[0]
+            CODEGEN_LANES
         );
         assert_eq!(
             resolve_lanes(None, KernelBackend::Generated, false),
-            CODEGEN_LANE_ORDER[0]
+            CODEGEN_LANES
         );
-        // The dispatch tables themselves must stay permutations of the
-        // supported widths — a typo here would silently break auto.
-        for order in [INTERP_LANE_ORDER, CODEGEN_LANE_ORDER] {
-            let mut sorted = order;
-            sorted.sort_unstable();
-            assert_eq!(sorted, config::SUPPORTED_LANES);
-        }
         // The shipped bank has fresh kernels, so the default tuning on
         // a fresh registry resolves to the codegen-best width.
         let (bank, _) = default_bank();
@@ -1215,42 +1109,8 @@ mod tests {
                 KernelBackend::Auto,
                 tei_kernels::registry().covers(unit)
             ),
-            CODEGEN_LANE_ORDER[0]
+            CODEGEN_LANES
         );
-    }
-
-    #[test]
-    fn prune_policy_resolves_against_the_oracle() {
-        let (bank, spec) = default_bank();
-        let unit = bank.unit(FpOp::new(FpOpKind::Add, Precision::Single));
-        let levels = [VoltageReduction::VR15, VoltageReduction::VR20];
-        let auto = resolve_prune(unit, spec.clk, &levels, PrunePolicy::Auto);
-        let on = resolve_prune(unit, spec.clk, &levels, PrunePolicy::ForceOn);
-        let off = resolve_prune(unit, spec.clk, &levels, PrunePolicy::ForceOff);
-        assert!(on.enabled && !off.enabled);
-        assert_eq!(auto.safe_fraction, on.safe_fraction);
-        assert_eq!(
-            auto.enabled,
-            auto.safe_fraction >= PRUNE_MIN_SAFE_FRACTION,
-            "auto must be exactly the threshold comparison, measured fraction {}",
-            auto.safe_fraction
-        );
-        // The decision is a pure perf knob: forcing pruning on and off
-        // must produce byte-identical statistics either way.
-        let pairs = random_operand_pairs(FpOp::new(FpOpKind::Add, Precision::Single), 120, 23);
-        let stats: Vec<String> = [PrunePolicy::ForceOn, PrunePolicy::ForceOff]
-            .into_iter()
-            .map(|prune| {
-                let tuning = DtaTuning {
-                    prune,
-                    ..DtaTuning::default()
-                };
-                let s = dta_campaign(unit, &pairs, spec.clk, &levels, 1, tuning)
-                    .expect("campaign succeeds");
-                serde_json::to_string(&s).expect("stats serialize")
-            })
-            .collect();
-        assert_eq!(stats[0], stats[1], "pruning must never change statistics");
     }
 
     #[test]

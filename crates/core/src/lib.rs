@@ -67,9 +67,7 @@ pub mod stats;
 pub use campaign::{
     CampaignConfig, CampaignResult, GoldenRun, Outcome, OutcomeCounts, QuarantinedRun, ReplayMode,
 };
-pub use dev::{
-    DaCalibration, DtaTuning, KernelBackend, OpErrorStats, PruneDecision, PrunePolicy, TraceSet,
-};
+pub use dev::{DaCalibration, DtaTuning, KernelBackend, OpErrorStats, TraceSet};
 pub use error::TeiError;
 pub use fabric::{run_fabric_campaign, serve, CampaignSpec, FabricConfig, FabricEvent};
 pub use journal::{atomic_write, atomic_write_checksummed, fnv64, CampaignManifest, Journal};

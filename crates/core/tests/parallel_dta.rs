@@ -1,15 +1,16 @@
 //! Chunked DTA campaigns must be byte-identical to the serial walk —
 //! same counts, same mask-library order, same histograms — regardless
-//! of thread count, lane width, or safe-bit pruning. Chunk results
+//! of thread count, lane width, or engine backend. Chunk results
 //! merge in chunk-index (= transition) order and the mask reservoir is
 //! seeded per `(op, vr)` cell, so the JSON encodings compare equal
 //! exactly; a reference campaign driven by the interpreted
-//! [`ArrivalSim`] pins all of them to the ground-truth engine.
+//! [`ArrivalSim`] over every result bit pins all of them (and the
+//! campaigns' safe-bit pruning) to the ground-truth engine.
 
 use std::collections::BTreeMap;
 use tei_core::dev::{
     dta_campaign, dta_campaign_sampled, random_operand_pairs, safe_bit_counts, DtaTuning,
-    KernelBackend, OpErrorStats, PrunePolicy,
+    KernelBackend, OpErrorStats,
 };
 use tei_fpu::{FpuTimingSpec, FpuUnit};
 use tei_softfloat::{FpOp, FpOpKind, Precision};
@@ -30,7 +31,8 @@ fn test_unit() -> (&'static FpuUnit, FpuTimingSpec) {
 
 /// Ground-truth mini-campaign: walk every transition with the
 /// interpreted [`ArrivalSim`] and accumulate the same per-corner
-/// statistics the kernel campaigns produce (nominal clamp included).
+/// statistics the kernel campaigns produce (nominal clamp included),
+/// thresholding every result bit — no safe-bit pruning.
 /// No reservoir cap is applied — callers keep the pair count under it.
 fn sim_reference(
     unit: &FpuUnit,
@@ -106,13 +108,12 @@ fn parallel_campaign_equals_serial_byte_for_byte() {
 }
 
 /// The tentpole equivalence matrix: every supported lane width, serial
-/// and parallel, with and without safe-bit pruning, on **both** engine
-/// backends (interpreted `ArrivalKernel` and the netlist-specialized
-/// generated kernel), must reproduce the interpreted `ArrivalSim`
-/// reference byte for byte — a 3-way interpreter/codegen/`ArrivalSim`
-/// agreement. Under the `sanitize-arrivals` feature the campaign inner
-/// loop additionally cross-checks every pruned mask against a full bit
-/// scan.
+/// and parallel, on **both** engine backends (interpreted
+/// `ArrivalKernel` and the netlist-specialized generated kernel), must
+/// reproduce the interpreted `ArrivalSim` reference byte for byte — a
+/// 3-way interpreter/codegen/`ArrivalSim` agreement. Under the
+/// `sanitize-arrivals` feature the campaign inner loop additionally
+/// cross-checks every pruned mask against a full bit scan.
 #[test]
 fn lane_widths_match_arrival_sim_byte_for_byte() {
     let (unit, spec) = test_unit();
@@ -123,27 +124,24 @@ fn lane_widths_match_arrival_sim_byte_for_byte() {
         for backend in [KernelBackend::Interpreter, KernelBackend::Generated] {
             for lanes in [1usize, 4, 8] {
                 for threads in [1usize, 3] {
-                    for prune in [PrunePolicy::ForceOn, PrunePolicy::ForceOff] {
-                        let got = dta_campaign(
-                            unit,
-                            &pairs,
-                            spec.clk,
-                            &LEVELS,
-                            threads,
-                            DtaTuning {
-                                prune,
-                                lanes: Some(lanes),
-                                backend,
-                            },
-                        )
-                        .expect("campaign");
-                        assert_eq!(
-                            serde_json::to_string(&got).expect("serialize campaign"),
-                            reference,
-                            "backend={backend:?} lanes={lanes} threads={threads} \
-                             prune={prune:?} seed={seed:#x} diverged from ArrivalSim"
-                        );
-                    }
+                    let got = dta_campaign(
+                        unit,
+                        &pairs,
+                        spec.clk,
+                        &LEVELS,
+                        threads,
+                        DtaTuning {
+                            lanes: Some(lanes),
+                            backend,
+                        },
+                    )
+                    .expect("campaign");
+                    assert_eq!(
+                        serde_json::to_string(&got).expect("serialize campaign"),
+                        reference,
+                        "backend={backend:?} lanes={lanes} threads={threads} \
+                         seed={seed:#x} diverged from ArrivalSim"
+                    );
                 }
             }
         }
@@ -206,51 +204,49 @@ fn parallel_sampled_campaign_equals_serial_byte_for_byte() {
     }
 }
 
+/// The campaigns always skip statically safe bits; on units where the
+/// oracle proves many bits safe (fp-sub-s and i2f-s at VR15, f2i-s at
+/// both corners) the default campaign must still equal the full-scan
+/// `ArrivalSim` reference, which thresholds every result bit.
 #[test]
 fn safe_bit_pruning_is_byte_identical_to_full_scan() {
-    let (unit, spec) = test_unit();
-    let pairs = random_operand_pairs(unit.op(), 403, 0xd7a_cafe);
-    // Force the pruning on: the default `PrunePolicy::Auto` only prunes
-    // past the measured break-even fraction, but this test is about the
-    // *exactness* of the skip, not whether it pays.
-    let pruned = dta_campaign(
-        unit,
-        &pairs,
-        spec.clk,
-        &LEVELS,
-        1,
-        DtaTuning {
-            prune: PrunePolicy::ForceOn,
-            ..DtaTuning::default()
-        },
-    )
-    .expect("pruned campaign");
-    let unpruned = dta_campaign(
-        unit,
-        &pairs,
-        spec.clk,
-        &LEVELS,
-        1,
-        DtaTuning {
-            prune: PrunePolicy::ForceOff,
-            ..DtaTuning::default()
-        },
-    )
-    .expect("unpruned campaign");
-    assert_eq!(
-        serde_json::to_string(&pruned).expect("serialize pruned"),
-        serde_json::to_string(&unpruned).expect("serialize unpruned"),
-        "pruning must not change any statistic"
-    );
-    // The pruning must actually remove work at these corners for the
-    // throughput claim in BENCH_dta.json to mean anything.
-    let safe = safe_bit_counts(unit, spec.clk, &LEVELS);
-    assert!(
-        safe.iter().any(|&n| n > 0),
-        "oracle proves no bits safe — pruning is vacuous: {safe:?}"
-    );
-    // Safer bits at the milder voltage reduction: VR15 derates less.
-    assert!(safe[0] >= safe[1], "VR15 {} < VR20 {}", safe[0], safe[1]);
+    let spec = FpuTimingSpec::paper_calibrated();
+    let (d_mul, _) = test_unit();
+    let others = [
+        FpOp::new(FpOpKind::Sub, Precision::Single),
+        FpOp::new(FpOpKind::ItoF, Precision::Single),
+        FpOp::new(FpOpKind::FtoI, Precision::Single),
+    ]
+    .map(|op| FpuUnit::generate(op, &spec));
+    for unit in others.iter().chain([d_mul]) {
+        for seed in [0xd7a_cafeu64, 0x51ced] {
+            let pairs = random_operand_pairs(unit.op(), 403, seed);
+            let pruned = dta_campaign(unit, &pairs, spec.clk, &LEVELS, 1, DtaTuning::default())
+                .expect("pruned campaign");
+            assert_eq!(
+                serde_json::to_string(&pruned).expect("serialize pruned"),
+                serde_json::to_string(&sim_reference(unit, &pairs, spec.clk, &LEVELS))
+                    .expect("serialize reference"),
+                "{} seed={seed:#x}: pruning changed a statistic",
+                unit.tag()
+            );
+        }
+        // The pruning must actually remove work at these corners.
+        let safe = safe_bit_counts(unit, spec.clk, &LEVELS);
+        assert!(
+            safe.iter().any(|&n| n > 0),
+            "{}: oracle proves no bits safe — pruning is vacuous: {safe:?}",
+            unit.tag()
+        );
+        // Safer bits at the milder voltage reduction: VR15 derates less.
+        assert!(
+            safe[0] >= safe[1],
+            "{}: VR15 {} < VR20 {}",
+            unit.tag(),
+            safe[0],
+            safe[1]
+        );
+    }
 }
 
 #[test]

@@ -133,10 +133,10 @@ pub struct FpuUnit {
 /// the reference ensemble free of errors at the nominal voltage.
 const GAMMA_MARGIN: f64 = 1.05;
 
-/// Number of operand pairs in the γ-calibration reference ensemble.
-/// Debug builds use a reduced ensemble to keep test turnaround fast; the
-/// released (optimized) calibration is the 1024-pair ensemble.
-const GAMMA_SAMPLES: usize = if cfg!(debug_assertions) { 128 } else { 1024 };
+/// Number of operand pairs in the γ-calibration reference ensemble. The
+/// same in every build profile, so debug and release builds calibrate
+/// the same bank.
+const GAMMA_SAMPLES: usize = 1024;
 
 impl FpuUnit {
     /// Generate and calibrate the unit for `op`.

@@ -36,8 +36,7 @@
 //! register per batch per net, the toggle byte used directly as the
 //! `maskz` write mask, and one record + one diff-word load amortized
 //! across both batches — measured at ~2.2× the interpreted `W = 4`
-//! walk on d-mul. `TEI_NO_AVX512` forces the generic path for A/B
-//! runs or downclock-sensitive hosts.
+//! walk on d-mul.
 //!
 //! **Why tables and not straight-line code.** A first version of this
 //! backend unrolled every gate into its own statement (delays as
@@ -534,15 +533,7 @@ mod zmm {
     /// Whether the running CPU supports the W = 8 ZMM settle pass.
     #[inline]
     pub fn available() -> bool {
-        use std::sync::OnceLock;
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            // Escape hatch for A/B measurement and for hosts where
-            // 512-bit license downclocking hurts the surrounding
-            // workload more than the wider settle pass helps.
-            std::env::var_os("TEI_NO_AVX512").is_none()
-                && std::arch::is_x86_feature_detected!("avx512f")
-        })
+        std::arch::is_x86_feature_detected!("avx512f")
     }
 
     /// # Safety
