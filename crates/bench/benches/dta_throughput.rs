@@ -33,6 +33,11 @@ const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// (`TEI_SCALING_SMOKE=1`) demands at `TEI_THREADS` workers.
 const SMOKE_MIN_SCALING: f64 = 1.3;
 
+/// Operand pairs of the measured-mode batch, which the scaling smoke
+/// also walks in quick mode: many chunks (8 of 1024 pairs at W = 4),
+/// where quick mode's 32 pairs are one chunk and cannot run in parallel.
+const SMOKE_PAIRS: usize = 8192;
+
 fn bench_mode() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
@@ -172,7 +177,7 @@ fn bench_dta_throughput(c: &mut Criterion) {
     let measured = bench_mode();
     let smoke = std::env::var("TEI_SCALING_SMOKE").is_ok_and(|v| v == "1");
     let (unit, spec) = dmul_unit();
-    let n_pairs = if measured { 8192 } else { 32 };
+    let n_pairs = if measured { SMOKE_PAIRS } else { 32 };
     let min_secs = if measured { 1.0 } else { 0.0 };
     let pairs = random_operand_pairs(unit.op(), n_pairs, 0xbe9c);
     let dta = unit.dta_netlist();
@@ -319,8 +324,10 @@ fn bench_dta_throughput(c: &mut Criterion) {
                  parallel speedup is not measurable here"
             );
         } else {
-            // Re-measure with a fixed floor so the smoke is meaningful
-            // even in `cargo test` quick mode (min_secs = 0 there).
+            // Re-measure on the measured-mode batch with a fixed floor
+            // so the smoke is meaningful even in `cargo test` quick mode
+            // (min_secs = 0 there).
+            let pairs = random_operand_pairs(unit.op(), SMOKE_PAIRS, 0xbe9c);
             let smoke_secs = min_secs.max(0.5);
             let serial = campaign_rate(&unit, &pairs, spec.clk, 1, smoke_secs);
             let parallel = campaign_rate(&unit, &pairs, spec.clk, threads, smoke_secs);

@@ -20,10 +20,10 @@
 //! Requires a `--features failpoints` build; the unfeatured binary
 //! refuses loudly rather than silently running a fault-free matrix.
 
-use crate::{fabric_cli, USAGE};
+use crate::cli::Flags;
+use crate::fabric_cli;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use tei_core::journal::atomic_write_checksummed;
 use tei_core::{failpoint, CampaignResult, CampaignSpec, FabricConfig, TeiError};
 
 /// Chaos fleets run with deliberately aggressive failure-detection
@@ -31,6 +31,27 @@ use tei_core::{failpoint, CampaignResult, CampaignSpec, FabricConfig, TeiError};
 const CHAOS_LEASE_TIMEOUT: Duration = Duration::from_secs(5);
 const CHAOS_TICK: Duration = Duration::from_millis(100);
 const CHAOS_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(3);
+
+const CHAOS_USAGE: &str =
+    "usage: tei chaos --benchmark <name> [options]   (needs --features failpoints)
+
+Runs the campaign clean, then once per seed under that seed's failpoint
+schedule; every seed must end identical to the clean run, or in a typed
+failure whose resume then matches.
+
+chaos options:
+  --benchmark <name>       benchmark (required; e.g. is, sobel, k-means)
+  --model fixed[:<er>]     fixed-ratio DA model (default fixed:1e-2)
+  --vr vr15|vr20           voltage-reduction corner (default vr20)
+  --scale test|small|full  benchmark problem size (default test)
+  --runs <n>               injection runs (default 48)
+  --seed <n>               base RNG seed (default 1)
+  --timeout-factor <x>     timeout as a multiple of golden instructions (default 2)
+  --workers <n>            worker processes (default 2)
+  --seeds <a,b,..>         schedule seeds to run (default 1,2,3)
+  --journal-dir <dir>      journal base directory (default journal-chaos/)
+  --out <dir>              report and repro directory (default results/)
+  --keep-going             run every seed even after a failure";
 
 struct ChaosArgs {
     spec: CampaignSpec,
@@ -41,71 +62,35 @@ struct ChaosArgs {
     keep_going: bool,
 }
 
-fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("tei chaos: bad value {value:?} for {flag}\n{USAGE}");
-        std::process::exit(2);
-    })
-}
-
 fn parse_args(args: &[String]) -> ChaosArgs {
-    let mut ca = ChaosArgs {
-        spec: CampaignSpec::new(""),
-        workers: 2,
-        seeds: vec![1, 2, 3],
-        journal_base: PathBuf::from("journal-chaos"),
-        results_dir: PathBuf::from("results"),
-        keep_going: false,
-    };
+    let f = Flags::parse("chaos", CHAOS_USAGE, args, false);
     // Chaos runs want deterministic hit ordering inside each worker.
-    ca.spec.threads_per_worker = 1;
-    ca.spec.runs = 48;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("tei chaos: {flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--benchmark" => ca.spec.benchmark = val(),
-            "--model" => ca.spec.model = val(),
-            "--vr" => ca.spec.vr = val().to_ascii_lowercase(),
-            "--scale" => ca.spec.scale = val().to_ascii_lowercase(),
-            "--runs" => ca.spec.runs = parse_or_exit(flag, &val()),
-            "--seed" => ca.spec.seed = parse_or_exit(flag, &val()),
-            "--timeout-factor" => ca.spec.timeout_factor = parse_or_exit(flag, &val()),
-            "--workers" => ca.workers = parse_or_exit(flag, &val()),
-            "--seeds" => {
-                ca.seeds = val()
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| parse_or_exit(flag, s.trim()))
-                    .collect();
-            }
-            "--journal-dir" => ca.journal_base = PathBuf::from(val()),
-            "--out" => ca.results_dir = PathBuf::from(val()),
-            "--keep-going" => ca.keep_going = true,
-            other => {
-                eprintln!("tei chaos: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
+    let (spec, _) = f.spec(CampaignSpec {
+        runs: 48,
+        threads_per_worker: 1,
+        ..CampaignSpec::new("")
+    });
+    let seeds = f
+        .get_with("--seeds", |v| {
+            v.split(',')
+                .filter(|s| !s.trim().is_empty())
+                .map(|s| s.trim().parse().ok())
+                .collect::<Option<Vec<u64>>>()
+        })
+        .unwrap_or_else(|| vec![1, 2, 3]);
+    if seeds.is_empty() {
+        f.fail("--seeds named no seeds");
     }
-    if ca.spec.benchmark.is_empty() {
-        eprintln!("tei chaos: --benchmark is required\n{USAGE}");
-        std::process::exit(2);
+    ChaosArgs {
+        spec,
+        workers: f.get("--workers").unwrap_or(2),
+        seeds,
+        journal_base: f
+            .get("--journal-dir")
+            .unwrap_or_else(|| PathBuf::from("journal-chaos")),
+        results_dir: f.get("--out").unwrap_or_else(|| PathBuf::from("results")),
+        keep_going: f.has("--keep-going"),
     }
-    if let Err(e) = ca.spec.parse() {
-        eprintln!("tei chaos: {e}\n{USAGE}");
-        std::process::exit(2);
-    }
-    if ca.seeds.is_empty() {
-        eprintln!("tei chaos: --seeds named no seeds\n{USAGE}");
-        std::process::exit(2);
-    }
-    ca
 }
 
 fn fleet(journal_dir: PathBuf, workers: usize) -> Result<FabricConfig, TeiError> {
@@ -228,11 +213,9 @@ pub(crate) fn chaos(args: &[String]) -> Result<(), TeiError> {
         }
     }
 
-    std::fs::create_dir_all(&ca.results_dir)
-        .map_err(|e| TeiError::io("create results dir", &ca.results_dir, e))?;
     let report_path = ca.results_dir.join("chaos-report.json");
     let body = serde_json::to_string_pretty(&reports).unwrap_or_default();
-    atomic_write_checksummed(&report_path, (body + "\n").as_bytes())?;
+    tei_bench::write_artifact(&report_path, (body + "\n").as_bytes())?;
     eprintln!("wrote {}", report_path.display());
     if failures > 0 {
         return Err(TeiError::Fabric {

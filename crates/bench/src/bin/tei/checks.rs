@@ -1,35 +1,34 @@
 //! The static-verification subcommands: `lint` (structural netlist
 //! lints) and `codegen` (generated-kernel staleness + equivalence).
 
-use crate::USAGE;
+use crate::cli::Flags;
+use std::path::PathBuf;
 use tei_netlist::{lint_module, lint_netlist, parse_verilog, to_verilog, CellLibrary};
+
+const CODEGEN_USAGE: &str = "usage: tei codegen --check [<tag>...] | --emit <dir> [<tag>...]
+  --check                  check each shipped kernel is fresh and bit-identical
+                           to the interpreter (default: every unit)
+  --emit <dir>             re-emit the specialized kernel sources into <dir>";
+
+const LINT_USAGE: &str = "usage: tei lint --fpu | <file.v>...
+  --fpu                    lint the generated FPU bank instead of files";
 
 /// Run the codegen subcommand; returns whether every unit came back clean.
 pub(crate) fn codegen(args: &[String]) -> bool {
-    let mode = args.first().map(String::as_str);
-    let (emit_dir, tags) = match mode {
-        Some("--check") => (None, &args[1..]),
-        Some("--emit") => {
-            let Some(dir) = args.get(1) else {
-                eprintln!("tei: --emit needs a target directory\n{USAGE}");
-                std::process::exit(2);
-            };
-            (Some(std::path::PathBuf::from(dir)), &args[2..])
-        }
-        _ => {
-            eprintln!("tei: codegen needs --check or --emit\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let f = Flags::parse("codegen", CODEGEN_USAGE, args, true);
+    let emit_dir: Option<PathBuf> = f.get("--emit");
+    if f.has("--check") == emit_dir.is_some() {
+        f.fail("give exactly one of --check and --emit");
+    }
+    let tags = &f.positional;
     let (bank, spec) = tei_core::dev::default_bank();
     let all_tags: Vec<&str> = bank.iter().map(|u| u.tag()).collect();
     for tag in tags {
         if !all_tags.contains(&tag.as_str()) {
-            eprintln!(
-                "tei: unknown unit tag {tag:?} (known: {})",
+            f.fail(format!(
+                "unknown unit tag {tag:?} (known: {})",
                 all_tags.join(", ")
-            );
-            std::process::exit(2);
+            ));
         }
     }
     let mut clean = true;
@@ -136,20 +135,19 @@ fn check_unit(unit: &tei_fpu::FpuUnit, clk: f64) -> bool {
 
 /// Run the lint subcommand; returns whether every design came back clean.
 pub(crate) fn lint(args: &[String]) -> bool {
-    if args.iter().any(|a| a == "--fpu") {
-        if args.len() != 1 {
-            eprintln!("tei: --fpu takes no file arguments\n{USAGE}");
-            std::process::exit(2);
+    let f = Flags::parse("lint", LINT_USAGE, args, true);
+    if f.has("--fpu") {
+        if !f.positional.is_empty() {
+            f.fail("--fpu takes no file arguments");
         }
         return lint_fpu_bank();
     }
-    if args.is_empty() {
-        eprintln!("tei: lint needs --fpu or at least one Verilog file\n{USAGE}");
-        std::process::exit(2);
+    if f.positional.is_empty() {
+        f.fail("lint needs --fpu or at least one Verilog file");
     }
     let lib = CellLibrary::nangate45_like();
     let mut clean = true;
-    for path in args {
+    for path in &f.positional {
         let src = match std::fs::read_to_string(path) {
             Ok(src) => src,
             Err(e) => {

@@ -1,151 +1,109 @@
-//! The fabric subcommands: one-shot multi-process campaigns
-//! (`tei campaign`), the resident coordinator (`tei serve`), the
-//! submission client (`tei submit`), and the worker process body the
-//! coordinator spawns (`tei fabric-worker`).
+//! The durable-campaign subcommands: `tei campaign` (in process, or
+//! over a locally spawned worker fleet with `--workers`), the resident
+//! coordinator (`tei serve`), the submission client (`tei submit`), and
+//! the worker process body the coordinator spawns (`tei fabric-worker`).
 
-use crate::USAGE;
+use crate::cli::{declared, Flags};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
+use tei_core::config::{default_journal_dir, default_lease_timeout, default_runs, default_threads};
 use tei_core::fabric::{wire, ChaosKill, Message};
-use tei_core::journal::atomic_write_checksummed;
-use tei_core::{CampaignResult, CampaignSpec, FabricConfig, FabricEvent, TeiError};
+use tei_core::{campaign, CampaignResult, CampaignSpec, FabricConfig, FabricEvent, TeiError};
+
+/// The campaign-spec flags `tei campaign` and `tei submit` share, all
+/// applied by [`Flags::spec`].
+macro_rules! spec_flags {
+    () => {
+        "  --benchmark <name>       benchmark (required; e.g. is, sobel, k-means)
+  --model fixed[:<er>]     fixed-ratio DA model (default fixed:1e-2)
+  --vr vr15|vr20           voltage-reduction corner (default vr20)
+  --scale test|small|full  benchmark problem size (default test)
+  --seed <n>               base RNG seed (default 1)
+  --timeout-factor <x>     timeout as a multiple of golden instructions (default 2)
+  --throttle-ms <n>        per-run sleep, for kill tests (default 0)
+  --out <file>             result JSON (default results/campaign-<bench>.json)
+"
+    };
+}
+
+/// The fleet flags `tei campaign --workers` and `tei serve` share, all
+/// applied by [`fleet_config`].
+macro_rules! fleet_flags {
+    () => {
+        "  --leases-per-worker <n>  lease granularity when partitioning (default 4)
+  --lease-timeout-s <n>    hung-worker lease expiry backstop
+                           (default TEI_LEASE_TIMEOUT or 600)
+  --tick-ms <n>            scheduler timer period (default TEI_FABRIC_TICK or 200)
+  --heartbeat-timeout-s <n>  silent-worker dead-peer detection (default 5)
+  --chaos-kill-worker <w>:<n>  test hook: SIGKILL worker w after n leases
+  --chaos-stop-worker <w>:<n>  test hook: SIGSTOP worker w after n leases"
+    };
+}
+
+const CAMPAIGN_USAGE: &str = concat!(
+    "usage: tei campaign --benchmark <name> [--workers <n>] [options]
+
+One injection campaign whose every run is journaled before it counts:
+re-running the same command resumes it. Without --workers it runs in
+this process; with it, lease-partitioned over that many worker
+processes. The result is byte-identical either way.
+
+campaign options:
+",
+    spec_flags!(),
+    "  --runs <n>               injection runs (default TEI_RUNS or 120)
+  --threads <n>            threads per campaign process (default TEI_THREADS
+                           or all cores in process, 1 per fabric worker)
+  --journal-dir <dir>      journal directory (default TEI_JOURNAL_DIR or journal/)
+
+fleet options (need --workers):
+  --workers <n>            worker processes
+",
+    fleet_flags!()
+);
+
+const SERVE_USAGE: &str = concat!(
+    "usage: tei serve [options]
+
+Resident coordinator: queued campaigns (tei submit) share one fleet.
+
+serve options:
+  --listen <addr>          address to serve on (default 127.0.0.1:2017)
+  --workers <n>            worker processes (default 2)
+  --journal-dir <dir>      journal directory (default TEI_JOURNAL_DIR or journal/)
+",
+    fleet_flags!()
+);
+
+const SUBMIT_USAGE: &str = concat!(
+    "usage: tei submit --connect <addr> --benchmark <name> [options]
+
+submit options:
+  --connect <addr>         address of a running tei serve (required)
+",
+    spec_flags!(),
+    "  --runs <n>               injection runs (default 120)
+  --threads <n>            threads inside each worker process (default 1)
+  --lease-timeout-s <n>    give up after this plus 60 s without a frame
+                           (default TEI_LEASE_TIMEOUT or 600)"
+);
+
+const WORKER_USAGE: &str = "usage: tei fabric-worker [options]   (spawned by the coordinator)
+  --connect <addr>         coordinator address
+  --token <t>              fleet token
+  --index <i>              worker index
+  --journal-dir <dir>      journal directory";
 
 /// Default `tei serve` address (0x7e1, like the default campaign seed).
 const DEFAULT_LISTEN: &str = "127.0.0.1:2017";
 
-/// Map a fabric run's outcome to the process exit code convention.
-pub(crate) fn exit_code(run: Result<(), TeiError>) -> i32 {
-    match run {
-        Ok(()) => 0,
-        Err(e) if e.is_interrupted() => {
-            eprintln!("tei: {e}");
-            eprintln!("tei: journals and lease table retained; re-run to resume");
-            130
-        }
-        // Typed, resumable failure (disk full): not a corruption, not a
-        // bug — journals are intact and a re-run picks up the remainder.
-        Err(e) if e.is_resumable() => {
-            eprintln!("tei: {e}");
-            eprintln!("tei: journals retained; free space and re-run to resume");
-            1
-        }
-        Err(e) => {
-            eprintln!("tei: {e}");
-            1
-        }
-    }
-}
-
-fn parse_or_exit<T: std::str::FromStr>(cmd: &str, flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("tei {cmd}: bad value {value:?} for {flag}\n{USAGE}");
-        std::process::exit(2);
+fn parse_chaos(value: &str) -> Option<ChaosKill> {
+    let (w, n) = value.split_once(':')?;
+    Some(ChaosKill {
+        worker: w.parse().ok()?,
+        after_leases: n.parse().ok()?,
     })
-}
-
-/// Flags shared by the fabric subcommands. Spec fields not given stay at
-/// the [`CampaignSpec::new`] defaults; string-typed spec fields are
-/// validated by `spec.parse()` before anything spawns.
-struct FabricArgs {
-    spec: CampaignSpec,
-    workers: usize,
-    leases_per_worker: usize,
-    lease_timeout: Duration,
-    tick: Duration,
-    heartbeat_timeout: Duration,
-    journal_dir: PathBuf,
-    out: Option<PathBuf>,
-    listen: String,
-    connect: Option<String>,
-    chaos: Option<ChaosKill>,
-    chaos_stop: Option<ChaosKill>,
-}
-
-fn parse_args(cmd: &str, args: &[String]) -> FabricArgs {
-    let mut fa = FabricArgs {
-        spec: CampaignSpec::new(""),
-        workers: 2,
-        leases_per_worker: 4,
-        lease_timeout: tei_core::config::default_lease_timeout(),
-        tick: tei_core::config::default_fabric_tick(),
-        heartbeat_timeout: Duration::from_secs(5),
-        journal_dir: tei_core::config::default_journal_dir(),
-        out: None,
-        listen: DEFAULT_LISTEN.to_string(),
-        connect: None,
-        chaos: None,
-        chaos_stop: None,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("tei {cmd}: {flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--benchmark" => fa.spec.benchmark = val(),
-            "--model" => fa.spec.model = val(),
-            "--vr" => fa.spec.vr = val().to_ascii_lowercase(),
-            "--scale" => fa.spec.scale = val().to_ascii_lowercase(),
-            "--runs" => fa.spec.runs = parse_or_exit(cmd, flag, &val()),
-            "--seed" => fa.spec.seed = parse_or_exit(cmd, flag, &val()),
-            "--timeout-factor" => fa.spec.timeout_factor = parse_or_exit(cmd, flag, &val()),
-            "--threads-per-worker" => {
-                fa.spec.threads_per_worker = parse_or_exit(cmd, flag, &val());
-            }
-            "--throttle-ms" => fa.spec.throttle_ms = parse_or_exit(cmd, flag, &val()),
-            "--workers" => fa.workers = parse_or_exit(cmd, flag, &val()),
-            "--leases-per-worker" => fa.leases_per_worker = parse_or_exit(cmd, flag, &val()),
-            "--lease-timeout-s" => {
-                fa.lease_timeout = Duration::from_secs(parse_or_exit(cmd, flag, &val()));
-            }
-            "--tick-ms" => {
-                fa.tick = Duration::from_millis(parse_or_exit(cmd, flag, &val()));
-            }
-            "--heartbeat-timeout-s" => {
-                fa.heartbeat_timeout = Duration::from_secs(parse_or_exit(cmd, flag, &val()));
-            }
-            "--journal-dir" => fa.journal_dir = PathBuf::from(val()),
-            "--out" => fa.out = Some(PathBuf::from(val())),
-            "--listen" => fa.listen = val(),
-            "--connect" => fa.connect = Some(val()),
-            "--chaos-kill-worker" => fa.chaos = Some(parse_chaos(cmd, flag, &val())),
-            "--chaos-stop-worker" => fa.chaos_stop = Some(parse_chaos(cmd, flag, &val())),
-            other => {
-                eprintln!("tei {cmd}: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    fa
-}
-
-fn parse_chaos(cmd: &str, flag: &str, value: &str) -> ChaosKill {
-    let parsed = value.split_once(':').and_then(|(w, n)| {
-        Some(ChaosKill {
-            worker: w.parse().ok()?,
-            after_leases: n.parse().ok()?,
-        })
-    });
-    parsed.unwrap_or_else(|| {
-        eprintln!("tei {cmd}: {flag} wants <worker>:<after-leases>, got {value:?}\n{USAGE}");
-        std::process::exit(2);
-    })
-}
-
-/// Refuse a malformed spec before anything spawns (usage error, exit 2).
-fn require_spec(cmd: &str, spec: &CampaignSpec) {
-    if spec.benchmark.is_empty() {
-        eprintln!("tei {cmd}: --benchmark is required\n{USAGE}");
-        std::process::exit(2);
-    }
-    if let Err(e) = spec.parse() {
-        eprintln!("tei {cmd}: {e}\n{USAGE}");
-        std::process::exit(2);
-    }
 }
 
 /// The worker command the coordinator spawns: this very binary, in its
@@ -161,15 +119,21 @@ pub(crate) fn self_worker_cmd() -> Result<Vec<String>, TeiError> {
     ])
 }
 
-fn fleet_config(fa: &FabricArgs) -> Result<FabricConfig, TeiError> {
-    let mut cfg = FabricConfig::new(self_worker_cmd()?, fa.journal_dir.clone());
-    cfg.workers = fa.workers;
-    cfg.leases_per_worker = fa.leases_per_worker;
-    cfg.lease_timeout = fa.lease_timeout;
-    cfg.tick = fa.tick;
-    cfg.heartbeat_timeout = fa.heartbeat_timeout;
-    cfg.chaos_kill_worker = fa.chaos;
-    cfg.chaos_stop_worker = fa.chaos_stop;
+fn fleet_config(f: &Flags, workers: usize, journal_dir: PathBuf) -> Result<FabricConfig, TeiError> {
+    let mut cfg = FabricConfig::new(self_worker_cmd()?, journal_dir);
+    cfg.workers = workers;
+    f.set("--leases-per-worker", &mut cfg.leases_per_worker);
+    if let Some(s) = f.get("--lease-timeout-s") {
+        cfg.lease_timeout = Duration::from_secs(s);
+    }
+    if let Some(ms) = f.get("--tick-ms") {
+        cfg.tick = Duration::from_millis(ms);
+    }
+    if let Some(s) = f.get("--heartbeat-timeout-s") {
+        cfg.heartbeat_timeout = Duration::from_secs(s);
+    }
+    cfg.chaos_kill_worker = f.get_with("--chaos-kill-worker", parse_chaos);
+    cfg.chaos_stop_worker = f.get_with("--chaos-stop-worker", parse_chaos);
     Ok(cfg)
 }
 
@@ -208,8 +172,8 @@ pub(crate) fn print_event(ev: &FabricEvent) {
     }
 }
 
-/// Print the merged result in the same shape the single-process
-/// `campaign` binary uses, so diffs between the two are trivial.
+/// Print a campaign result on stdout, in one shape for both campaign
+/// paths and `tei submit`, so diffs between them are trivial.
 fn print_result(result: &CampaignResult) {
     let f = result.fractions();
     println!(
@@ -224,63 +188,82 @@ fn print_result(result: &CampaignResult) {
     );
 }
 
-fn write_result(
-    result: &CampaignResult,
-    out: Option<&Path>,
-    benchmark: &str,
-) -> Result<(), TeiError> {
-    let out = out.map_or_else(
-        || PathBuf::from(format!("results/fabric-{benchmark}.json")),
-        Path::to_path_buf,
-    );
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| TeiError::io("create output directory", dir, e))?;
-        }
-    }
+fn write_result(result: &CampaignResult, out: Option<PathBuf>) -> Result<(), TeiError> {
+    let out =
+        out.unwrap_or_else(|| PathBuf::from(format!("results/campaign-{}.json", result.benchmark)));
     let body = serde_json::to_string_pretty(result).unwrap_or_default();
-    atomic_write_checksummed(&out, (body + "\n").as_bytes())?;
+    tei_bench::write_artifact(&out, (body + "\n").as_bytes())?;
     eprintln!("wrote {}", out.display());
     Ok(())
 }
 
-/// `tei campaign`: one-shot multi-process campaign over a locally
-/// spawned worker fleet; merged result byte-identical to 1 process.
+/// `tei campaign`: one durable campaign, in process or over a fleet.
 pub(crate) fn campaign(args: &[String]) -> Result<(), TeiError> {
-    let fa = parse_args("campaign", args);
-    require_spec("campaign", &fa.spec);
-    let cfg = fleet_config(&fa)?;
+    let f = Flags::parse("campaign", CAMPAIGN_USAGE, args, false);
+    let workers: Option<usize> = f.get("--workers");
+    if workers.is_none() {
+        if let Some((flag, _)) = declared(fleet_flags!()).find(|(flag, _)| f.has(flag)) {
+            f.fail(format!("{flag} needs --workers"));
+        }
+    }
+    let (spec, _) = f.spec(CampaignSpec {
+        runs: default_runs() as u64,
+        threads_per_worker: if workers.is_some() {
+            1
+        } else {
+            default_threads() as u64
+        },
+        ..CampaignSpec::new("")
+    });
+    let journal_dir = f.get("--journal-dir").unwrap_or_else(default_journal_dir);
     eprintln!(
-        "[fabric] {} × {} × {} ({} runs, {} workers, journal {})",
-        fa.spec.benchmark,
-        fa.spec.model,
-        fa.spec.vr,
-        fa.spec.runs,
-        cfg.workers,
-        cfg.journal_dir.display()
+        "[campaign] {} × {} × {} ({} runs, {} process(es) × {} thread(s), journal {})",
+        spec.benchmark,
+        spec.model,
+        spec.vr,
+        spec.runs,
+        workers.unwrap_or(1),
+        spec.threads_per_worker,
+        journal_dir.display()
     );
-    let result = tei_core::run_fabric_campaign(&fa.spec, &cfg, &mut print_event)?;
+    let result = match workers {
+        Some(workers) => {
+            let cfg = fleet_config(&f, workers, journal_dir)?;
+            tei_core::run_fabric_campaign(&spec, &cfg, &mut print_event)?
+        }
+        None => {
+            let ctx = spec.resolve()?;
+            campaign::run_campaign_durable(
+                &spec.benchmark,
+                &ctx.golden,
+                &ctx.model,
+                &ctx.cfg,
+                &journal_dir,
+            )?
+        }
+    };
     print_result(&result);
-    write_result(&result, fa.out.as_deref(), &fa.spec.benchmark)
+    write_result(&result, f.get("--out"))
 }
 
 /// `tei serve`: resident coordinator + worker fleet; returns on signal.
 pub(crate) fn serve(args: &[String]) -> Result<(), TeiError> {
-    let fa = parse_args("serve", args);
-    let cfg = fleet_config(&fa)?;
-    tei_core::serve(&fa.listen, &cfg, &mut print_event)
+    let f = Flags::parse("serve", SERVE_USAGE, args, false);
+    let journal_dir = f.get("--journal-dir").unwrap_or_else(default_journal_dir);
+    let cfg = fleet_config(&f, f.get("--workers").unwrap_or(2), journal_dir)?;
+    let listen = f
+        .get("--listen")
+        .unwrap_or_else(|| DEFAULT_LISTEN.to_string());
+    tei_core::serve(&listen, &cfg, &mut print_event)
 }
 
 /// `tei submit`: queue a campaign on a running server, stream progress,
 /// and print + persist the merged result.
 pub(crate) fn submit(args: &[String]) -> Result<(), TeiError> {
-    let fa = parse_args("submit", args);
-    require_spec("submit", &fa.spec);
-    let Some(addr) = fa.connect else {
-        eprintln!("tei submit: --connect <addr> is required\n{USAGE}");
-        std::process::exit(2);
-    };
+    let f = Flags::parse("submit", SUBMIT_USAGE, args, false);
+    let addr: String = f.require("--connect");
+    let (spec, _) = f.spec(CampaignSpec::new(""));
+    let out: Option<PathBuf> = f.get("--out");
     let stream = TcpStream::connect(&addr).map_err(|e| TeiError::Fabric {
         detail: format!("connect to server {addr}: {e}"),
     })?;
@@ -293,19 +276,16 @@ pub(crate) fn submit(args: &[String]) -> Result<(), TeiError> {
         Some(Duration::from_millis(500)),
         Some(Duration::from_secs(10)),
     );
-    let idle_cap = fa.lease_timeout + Duration::from_secs(60);
+    let lease_timeout = f
+        .get("--lease-timeout-s")
+        .map_or_else(default_lease_timeout, Duration::from_secs);
+    let idle_cap = lease_timeout + Duration::from_secs(60);
     let reader_half = stream.try_clone().map_err(|e| TeiError::Fabric {
         detail: format!("clone stream to {addr}: {e}"),
     })?;
     let mut writer = stream;
     let peer = format!("server {addr}");
-    wire::send(
-        &mut writer,
-        &peer,
-        &Message::Submit {
-            spec: fa.spec.clone(),
-        },
-    )?;
+    wire::send(&mut writer, &peer, &Message::Submit { spec })?;
     let mut reader = wire::FrameReader::new(reader_half);
     let mut last_frame = std::time::Instant::now();
     loop {
@@ -351,7 +331,7 @@ pub(crate) fn submit(args: &[String]) -> Result<(), TeiError> {
                 match serde_json::from_str::<CampaignResult>(&result) {
                     Ok(parsed) => {
                         print_result(&parsed);
-                        write_result(&parsed, fa.out.as_deref(), &fa.spec.benchmark)?;
+                        write_result(&parsed, out)?;
                     }
                     // Schema drift between client and server build:
                     // still deliver the payload.
@@ -366,35 +346,11 @@ pub(crate) fn submit(args: &[String]) -> Result<(), TeiError> {
 
 /// `tei fabric-worker`: the process body the coordinator spawns.
 pub(crate) fn worker(args: &[String]) -> Result<(), TeiError> {
-    let mut connect: Option<String> = None;
-    let mut token: Option<u64> = None;
-    let mut index: Option<u32> = None;
-    let mut journal_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("tei fabric-worker: {flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--connect" => connect = Some(val()),
-            "--token" => token = Some(parse_or_exit("fabric-worker", flag, &val())),
-            "--index" => index = Some(parse_or_exit("fabric-worker", flag, &val())),
-            "--journal-dir" => journal_dir = Some(PathBuf::from(val())),
-            other => {
-                eprintln!("tei fabric-worker: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let (Some(connect), Some(token), Some(index), Some(journal_dir)) =
-        (connect, token, index, journal_dir)
-    else {
-        eprintln!("tei fabric-worker: --connect, --token, --index, --journal-dir are all required");
-        std::process::exit(2);
-    };
+    let f = Flags::parse("fabric-worker", WORKER_USAGE, args, false);
+    let connect: String = f.require("--connect");
+    let token: u64 = f.require("--token");
+    let index: u32 = f.require("--index");
+    let journal_dir: PathBuf = f.require("--journal-dir");
     tei_core::config::validate_env()?;
     tei_core::shutdown::install_handlers();
     tei_core::fabric::worker_main(&connect, token, index, &journal_dir)

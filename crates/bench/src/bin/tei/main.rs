@@ -1,18 +1,20 @@
 //! Toolflow front-end: the `tei` command.
 //!
-//! Static verification (see DESIGN.md, "Static verification"):
+//! The paper's toolflow (see DESIGN.md, §4):
 //!
-//! * `tei lint` — structural netlist lints over Verilog files or the
-//!   generated FPU bank.
-//! * `tei codegen` — staleness + interpreter-equivalence checks of the
-//!   shipped netlist-specialized kernels, and re-emission of their
-//!   sources.
+//! * `tei models` — model development: run the DTA campaigns and
+//!   persist the DA, IA and WA error models; show a saved model.
+//! * `tei figures` — application evaluation: regenerate the paper's
+//!   tables and figures into `results/`.
+//! * `tei sweep` — AVM as a continuous function of supply voltage.
 //!
-//! Campaign fabric (see DESIGN.md, "Campaign fabric"):
+//! Durable campaigns (see DESIGN.md, "Durable execution" and
+//! "Campaign fabric"):
 //!
-//! * `tei campaign --workers N` — one-shot lease-partitioned
-//!   multi-process injection campaign; byte-identical to the
-//!   single-process run and resumable after any crash.
+//! * `tei campaign` — one journaled, resumable injection campaign: in
+//!   this process, or with `--workers N` lease-partitioned over a
+//!   fleet of worker processes; the result is byte-identical either
+//!   way.
 //! * `tei serve` — resident coordinator: keeps one worker fleet and its
 //!   golden/checkpoint caches warm across queued campaigns.
 //! * `tei submit` — queue a campaign on a running server and stream its
@@ -24,111 +26,96 @@
 //!   end in a result byte-identical to the clean run, or a typed
 //!   resumable failure whose resume then matches.
 //!
-//! Exit codes: 0 clean, 1 findings or campaign failure, 2 usage,
-//! 130 interrupted (journals retained; re-run to resume).
+//! Static verification (see DESIGN.md, "Static verification"):
+//!
+//! * `tei lint` — structural netlist lints over Verilog files or the
+//!   generated FPU bank.
+//! * `tei codegen` — staleness + interpreter-equivalence checks of the
+//!   shipped netlist-specialized kernels, and re-emission of their
+//!   sources.
+//!
+//! Every subcommand parses its flags with [`cli::Flags`] and prints its
+//! own flag table under `--help`.
+//!
+//! Exit codes: 0 clean, 1 findings or failure, 2 usage, 130
+//! interrupted (journals retained; re-run to resume).
 
 mod chaos_cli;
 mod checks;
+mod cli;
 mod fabric_cli;
 mod sweep_cli;
+mod toolflow_cli;
 
-const USAGE: &str = "usage: tei <subcommand> [args]
+use tei_core::TeiError;
+
+const USAGE: &str = "usage: tei <subcommand> [args]   (tei <subcommand> --help for its flags)
+
+toolflow:
+  tei models develop <dir> | show <file>     develop and save, or print, error models
+  tei figures <artifact>... | all            regenerate the paper's tables and figures
+  tei sweep --benchmark <name> [options]     continuous-Vdd AVM sweep
+
+durable campaigns:
+  tei campaign --benchmark <name> [--workers <n>] [options]
+                                             one journaled, resumable campaign
+  tei serve [options]                        resident coordinator + worker fleet
+  tei submit --connect <addr> --benchmark <name> [options]
+                                             queue a campaign on a running server
+  tei fabric-worker [options]                internal: fleet worker process
+  tei chaos --benchmark <name> [options]     seeded failpoint chaos matrix
+                                             (needs --features failpoints)
 
 static verification:
-  tei lint --fpu | <file.v> ...         structural netlist lints
-  tei codegen --check [tag ...]         shipped-kernel staleness + equivalence
-  tei codegen --emit <dir> [tag ...]    re-emit specialized kernel sources
+  tei lint --fpu | <file.v>...               structural netlist lints
+  tei codegen --check [<tag>...]             shipped-kernel staleness + equivalence
+  tei codegen --emit <dir> [<tag>...]        re-emit specialized kernel sources";
 
-campaign fabric:
-  tei campaign --benchmark <name> [--workers <n>] [options]
-                                        one-shot multi-process campaign
-  tei serve [--listen <addr>] [--workers <n>] [options]
-                                        resident coordinator + worker fleet
-  tei submit --connect <addr> --benchmark <name> [options]
-                                        queue a campaign on a running server
-  tei fabric-worker --connect <addr> --token <t> --index <i> --journal-dir <d>
-                                        internal: fleet worker process
-  tei chaos --benchmark <name> [--seeds <a,b,..>] [options]
-                                        seeded failpoint chaos matrix
-                                        (needs --features failpoints)
-
-campaign options:
-  --benchmark <name>       benchmark (e.g. is, sobel, k-means)
-  --model fixed[:<er>]     fixed-ratio DA model (default fixed:1e-2)
-  --vr vr15|vr20           voltage-reduction corner (default vr20)
-  --scale test|small|full  benchmark problem size (default test)
-  --runs <n>               injection runs (default 120)
-  --seed <n>               base RNG seed (default 1)
-  --timeout-factor <x>     timeout as a multiple of golden instructions
-  --threads-per-worker <n> threads inside each worker process (default 1)
-  --throttle-ms <n>        per-run sleep, for kill tests (default 0)
-  --out <file>             result JSON (default results/fabric-<bench>.json)
-
-fleet options:
-  --workers <n>            worker processes (default 2)
-  --leases-per-worker <n>  lease granularity when partitioning (default 4)
-  --lease-timeout-s <n>    hung-worker lease expiry backstop
-                           (default TEI_LEASE_TIMEOUT or 600)
-  --tick-ms <n>            scheduler timer period (default TEI_FABRIC_TICK or 200)
-  --heartbeat-timeout-s <n>  silent-worker dead-peer detection (default 5)
-  --journal-dir <dir>      journal directory (default TEI_JOURNAL_DIR or journal/)
-  --listen <addr>          serve address (default 127.0.0.1:2017)
-  --chaos-kill-worker <w>:<n>  test hook: SIGKILL worker w after n leases
-  --chaos-stop-worker <w>:<n>  test hook: SIGSTOP worker w after n leases
-
-chaos options (tei chaos):
-  --seeds <a,b,..>         schedule seeds to run (default 1,2,3)
-  --keep-going             run every seed even after a failure
-
-voltage sweep:
-  tei sweep --benchmark <name> [--grid <n>] [options]
-                                        continuous-Vdd AVM sweep: one DTA
-                                        settle pass per op, re-thresholded at
-                                        each grid point's interpolated
-                                        derating, then AVM per point and the
-                                        minimum Vdd meeting --avm-target
-
-sweep options:
-  --grid <n>               Vdd grid points (default 12, min 2)
-  --vdd-min <v>            lowest Vdd, volts (default the VR20 corner)
-  --vdd-max <v>            highest Vdd, volts (default nominal)
-  --avm-target <x>         AVM threshold for min-Vdd (default 0.01)
-  --dta-cap <n>            per-op transition cap for DTA (default 4000)
-  --out <file>             result JSON (default results/sweep-<bench>.json)
-  (--scale, --runs, --seed as for campaigns)";
+/// Map a subcommand's outcome to the process exit code convention.
+fn exit_code(run: Result<(), TeiError>) -> i32 {
+    match run {
+        Ok(()) => 0,
+        Err(e) if e.is_interrupted() => {
+            eprintln!("tei: {e}");
+            eprintln!("tei: journals retained; re-run the same command to resume");
+            130
+        }
+        // Typed, resumable failure (disk full): not a corruption, not a
+        // bug — journals are intact and a re-run picks up the remainder.
+        Err(e) if e.is_resumable() => {
+            eprintln!("tei: {e}");
+            eprintln!("tei: journals retained; free space and re-run to resume");
+            1
+        }
+        Err(e) => {
+            eprintln!("tei: {e}");
+            1
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{USAGE}");
-        return;
-    }
     let Some(cmd) = args.first() else {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let rest = &args[1..];
     let code = match cmd.as_str() {
-        "lint" => {
-            if checks::lint(rest) {
-                0
-            } else {
-                1
-            }
+        "-h" | "--help" => {
+            println!("{USAGE}");
+            0
         }
-        "codegen" => {
-            if checks::codegen(rest) {
-                0
-            } else {
-                1
-            }
-        }
-        "campaign" => fabric_cli::exit_code(fabric_cli::campaign(rest)),
-        "serve" => fabric_cli::exit_code(fabric_cli::serve(rest)),
-        "submit" => fabric_cli::exit_code(fabric_cli::submit(rest)),
-        "fabric-worker" => fabric_cli::exit_code(fabric_cli::worker(rest)),
-        "chaos" => fabric_cli::exit_code(chaos_cli::chaos(rest)),
-        "sweep" => fabric_cli::exit_code(sweep_cli::sweep(rest)),
+        "lint" => i32::from(!checks::lint(rest)),
+        "codegen" => i32::from(!checks::codegen(rest)),
+        "models" => exit_code(toolflow_cli::models(rest)),
+        "figures" => exit_code(toolflow_cli::figures(rest)),
+        "sweep" => exit_code(sweep_cli::sweep(rest)),
+        "campaign" => exit_code(fabric_cli::campaign(rest)),
+        "serve" => exit_code(fabric_cli::serve(rest)),
+        "submit" => exit_code(fabric_cli::submit(rest)),
+        "fabric-worker" => exit_code(fabric_cli::worker(rest)),
+        "chaos" => exit_code(chaos_cli::chaos(rest)),
         other => {
             eprintln!("tei: unknown subcommand {other:?}\n{USAGE}");
             2

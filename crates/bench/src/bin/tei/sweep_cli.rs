@@ -10,127 +10,68 @@
 //! still meets an AVM target. Results land in
 //! `results/sweep-<benchmark>.json` with a `.fnv` checksum sidecar.
 
-use crate::USAGE;
+use crate::cli::Flags;
 use std::path::PathBuf;
-use tei_core::journal::atomic_write_checksummed;
 use tei_core::{
-    dev, CampaignConfig, DtaTuning, GoldenRun, MaskSampling, ModelKind, OpErrorStats, StatModel,
-    TeiError,
+    dev, CampaignConfig, CampaignSpec, DtaTuning, GoldenRun, MaskSampling, ModelKind, OpErrorStats,
+    StatModel, TeiError,
 };
 use tei_softfloat::FpOp;
 use tei_timing::VoltageReduction;
-use tei_workloads::{build, BenchmarkId, Scale};
+use tei_workloads::build;
 
 /// Memory given to golden runs and trace capture (matches the fabric).
 const MEM: usize = 8 << 20;
 
-struct SweepArgs {
-    benchmark: String,
-    scale: String,
-    grid: usize,
-    vdd_min: f64,
-    vdd_max: f64,
-    avm_target: f64,
-    runs: usize,
-    seed: u64,
-    dta_cap: usize,
-    out: Option<PathBuf>,
-}
+const SWEEP_USAGE: &str = "usage: tei sweep --benchmark <name> [options]
 
-fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("tei sweep: bad value {value:?} for {flag}\n{USAGE}");
-        std::process::exit(2);
-    })
-}
+One DTA settle pass per FPU op, re-thresholded at each grid point's
+interpolated derating, then an injection campaign per point: AVM per
+point and the minimum Vdd meeting --avm-target.
 
-fn parse_args(args: &[String]) -> SweepArgs {
-    let mut sa = SweepArgs {
-        benchmark: String::new(),
-        scale: "test".to_string(),
-        grid: 12,
-        vdd_min: VoltageReduction::VR20.vdd(),
-        vdd_max: VoltageReduction::Nominal.vdd(),
-        avm_target: 0.01,
-        runs: 120,
-        seed: 1,
-        dta_cap: 4000,
-        out: None,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("tei sweep: {flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--benchmark" => sa.benchmark = val(),
-            "--scale" => sa.scale = val().to_ascii_lowercase(),
-            "--grid" => sa.grid = parse_or_exit(flag, &val()),
-            "--vdd-min" => sa.vdd_min = parse_or_exit(flag, &val()),
-            "--vdd-max" => sa.vdd_max = parse_or_exit(flag, &val()),
-            "--avm-target" => sa.avm_target = parse_or_exit(flag, &val()),
-            "--runs" => sa.runs = parse_or_exit(flag, &val()),
-            "--seed" => sa.seed = parse_or_exit(flag, &val()),
-            "--dta-cap" => sa.dta_cap = parse_or_exit(flag, &val()),
-            "--out" => sa.out = Some(PathBuf::from(val())),
-            other => {
-                eprintln!("tei sweep: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if sa.benchmark.is_empty() {
-        eprintln!("tei sweep: --benchmark is required\n{USAGE}");
-        std::process::exit(2);
-    }
-    if sa.grid < 2 {
-        eprintln!("tei sweep: --grid must be at least 2\n{USAGE}");
-        std::process::exit(2);
+sweep options:
+  --benchmark <name>       benchmark (required; e.g. is, sobel, k-means)
+  --scale test|small|full  benchmark problem size (default test)
+  --runs <n>               injection runs per grid point (default 120)
+  --seed <n>               base RNG seed (default 1)
+  --grid <n>               Vdd grid points (default 12, min 2)
+  --vdd-min <v>            lowest Vdd, volts (default the VR20 corner)
+  --vdd-max <v>            highest Vdd, volts (default nominal)
+  --avm-target <x>         AVM threshold for min-Vdd (default 0.01)
+  --dta-cap <n>            per-op transition cap for DTA (default 4000)
+  --out <file>             result JSON (default results/sweep-<bench>.json)";
+
+/// The sweep body: one multi-level DTA pass per op, then one injection
+/// campaign per grid voltage off the shared statistics.
+pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
+    let f = Flags::parse("sweep", SWEEP_USAGE, args, false);
+    let (cell, parsed) = f.spec(CampaignSpec::new(""));
+    let (scale, runs, seed) = (cell.scale, cell.runs as usize, cell.seed);
+    let grid_points: usize = f.get("--grid").unwrap_or(12);
+    if grid_points < 2 {
+        f.fail("--grid must be at least 2");
     }
     let (lo, hi) = (
         VoltageReduction::VR20.vdd(),
         VoltageReduction::Nominal.vdd(),
     );
-    if !(sa.vdd_min < sa.vdd_max && sa.vdd_min >= lo && sa.vdd_max <= hi) {
-        eprintln!(
-            "tei sweep: Vdd range [{}, {}] must be increasing and within the \
-             characterized corners [{lo}, {hi}]\n{USAGE}",
-            sa.vdd_min, sa.vdd_max
-        );
-        std::process::exit(2);
+    let vdd_min: f64 = f.get("--vdd-min").unwrap_or(lo);
+    let vdd_max: f64 = f.get("--vdd-max").unwrap_or(hi);
+    if !(vdd_min < vdd_max && vdd_min >= lo && vdd_max <= hi) {
+        f.fail(format!(
+            "Vdd range [{vdd_min}, {vdd_max}] must be increasing and within the \
+             characterized corners [{lo}, {hi}]"
+        ));
     }
-    sa
-}
+    let avm_target: f64 = f.get("--avm-target").unwrap_or(0.01);
+    let dta_cap: usize = f.get("--dta-cap").unwrap_or(4000);
+    let id = parsed.id;
 
-/// The sweep body: one multi-level DTA pass per op, then one injection
-/// campaign per grid voltage off the shared statistics.
-pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
-    let sa = parse_args(args);
-    let id = BenchmarkId::all()
-        .into_iter()
-        .find(|b| b.name() == sa.benchmark)
-        .unwrap_or_else(|| {
-            eprintln!("tei sweep: unknown benchmark {:?}\n{USAGE}", sa.benchmark);
-            std::process::exit(2);
-        });
-    let scale = match sa.scale.as_str() {
-        "test" => Scale::Test,
-        "small" => Scale::Small,
-        "full" => Scale::Full,
-        other => {
-            eprintln!("tei sweep: unknown scale {other:?}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    let bench = build(id, scale);
+    let bench = build(id, parsed.scale);
     let (bank, spec) = dev::default_bank();
     let threads = tei_core::config::default_threads();
-    let grid: Vec<f64> = (0..sa.grid)
-        .map(|i| sa.vdd_min + (sa.vdd_max - sa.vdd_min) * i as f64 / (sa.grid - 1) as f64)
+    let grid: Vec<f64> = (0..grid_points)
+        .map(|i| vdd_min + (vdd_max - vdd_min) * i as f64 / (grid_points - 1) as f64)
         .collect();
     let levels: Vec<VoltageReduction> = grid.iter().map(|&v| VoltageReduction::Vdd(v)).collect();
 
@@ -138,18 +79,18 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
         "tei sweep: {} ({}), {} grid points over Vdd [{:.3}, {:.3}] V, \
          {} runs/point",
         id.name(),
-        sa.scale,
-        sa.grid,
-        sa.vdd_min,
-        sa.vdd_max,
-        sa.runs,
+        scale,
+        grid_points,
+        vdd_min,
+        vdd_max,
+        runs,
     );
 
     // One settle pass per op covers every grid voltage: the DTA engine
     // re-thresholds each transition's settle times at all `levels` in a
     // single walk, so the sweep's circuit cost is independent of the
     // grid resolution.
-    let trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, sa.dta_cap);
+    let trace = dev::TraceSet::capture(&bench.program, MEM, u64::MAX, dta_cap);
     let tuning = DtaTuning::default();
     let mut per_level: Vec<Vec<OpErrorStats>> = vec![Vec::new(); levels.len()];
     for op in FpOp::all() {
@@ -167,8 +108,8 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
     // injection campaign deterministic under (runs, seed, threads).
     let golden = GoldenRun::capture(&bench, MEM, u64::MAX)?;
     let cfg = CampaignConfig {
-        runs: sa.runs,
-        seed: sa.seed,
+        runs,
+        seed,
         threads,
         ..CampaignConfig::default()
     };
@@ -193,7 +134,7 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
             c.crash,
             c.timeout
         );
-        if avm <= sa.avm_target && min_vdd.is_none() {
+        if avm <= avm_target && min_vdd.is_none() {
             min_vdd = Some(vdd);
         }
         rows.push(format!(
@@ -209,37 +150,34 @@ pub(crate) fn sweep(args: &[String]) -> Result<(), TeiError> {
     match min_vdd {
         Some(v) => println!(
             "minimum Vdd at AVM <= {}: {v:.3} V ({:.1}% below nominal)",
-            sa.avm_target,
+            avm_target,
             100.0 * (1.0 - v / VoltageReduction::Nominal.vdd())
         ),
         None => println!(
             "no grid voltage meets AVM <= {} (raise --vdd-max or the target)",
-            sa.avm_target
+            avm_target
         ),
     }
 
-    let out = sa
-        .out
+    let out = f
+        .get("--out")
         .unwrap_or_else(|| PathBuf::from(format!("results/sweep-{}.json", id.name())));
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| TeiError::io("create results dir", dir, e))?;
-    }
     let json = format!(
         "{{\n  \"schema\": \"tei-sweep-v2\",\n  \"benchmark\": {:?},\n  \"scale\": {:?},\n  \
          \"clk_ns\": {},\n  \"runs\": {},\n  \"seed\": {},\n  \"dta_pairs_cap\": {},\n  \
          \"avm_target\": {},\n  \"min_vdd_at_target\": {},\n  \
          \"grid\": [\n    {}\n  ]\n}}\n",
         id.name(),
-        sa.scale,
+        scale,
         spec.clk,
-        sa.runs,
-        sa.seed,
-        sa.dta_cap,
-        sa.avm_target,
+        runs,
+        seed,
+        dta_cap,
+        avm_target,
         min_vdd.map_or("null".to_string(), |v| v.to_string()),
         rows.join(",\n    ")
     );
-    atomic_write_checksummed(&out, json.as_bytes())?;
+    tei_bench::write_artifact(&out, json.as_bytes())?;
     println!("wrote {}", out.display());
     Ok(())
 }

@@ -3,7 +3,6 @@
 use crate::artifacts::{Artifacts, LEVELS, MEM};
 use serde_json::{json, Value};
 use std::fmt::Write as _;
-use tei_core::journal::atomic_write_checksummed;
 use tei_core::{
     campaign, config, dev, power, stats, DtaTuning, InjectionModel, ModelKind, StatModel, TeiError,
 };
@@ -32,12 +31,8 @@ impl Report {
     ///
     /// Propagates filesystem errors as [`TeiError::Io`].
     pub fn save(&self, dir: &std::path::Path) -> Result<(), TeiError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| TeiError::io("create results directory", dir, e))?;
-        let path = dir.join(format!("{}.json", self.id));
         let body = serde_json::to_string_pretty(&self.json).unwrap_or_default();
-        atomic_write_checksummed(&path, body.as_bytes())?;
-        Ok(())
+        crate::write_artifact(&dir.join(format!("{}.json", self.id)), body.as_bytes())
     }
 }
 

@@ -4,7 +4,9 @@
 //! `tei serve` + `tei submit` round trip must stream that same result
 //! (twice — the second submission answers from the journals without
 //! re-executing). These are the CI smoke tests of DESIGN.md's
-//! "Campaign fabric" section.
+//! "Campaign fabric" section. The same result must come from the
+//! in-process `tei campaign`, and malformed command lines must fail
+//! before any work starts.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -249,5 +251,97 @@ fn serve_submit_round_trip_matches_serial() {
     serve.kill().ok();
     serve.wait().ok();
     drain.join().ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn in_process_campaign_matches_serial() {
+    let dir = scratch_dir("inproc");
+    let out = dir.join("campaign.json");
+    let output = Command::new(tei_bin())
+        .args([
+            "campaign",
+            "--benchmark",
+            "sobel",
+            "--runs",
+            "64",
+            "--seed",
+            "1",
+            "--journal-dir",
+        ])
+        .arg(dir.join("journal"))
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("run tei campaign");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "tei campaign failed:\n{stderr}");
+    assert_eq!(
+        read_result(&out),
+        reference_json(),
+        "in-process campaign diverged from the serial reference"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bad command lines exit 2 (usage) or 1 (a typed failure) without
+/// journaling or writing anything into the working directory.
+#[test]
+fn bad_command_lines_fail_before_any_work() {
+    let rows: [(i32, &[&str]); 15] = [
+        (2, &["campaign", "--benchmark", "sobel", "--bogus"]),
+        (2, &["campaign", "--runs", "64"]),
+        (2, &["campaign", "--benchmark", "sobel", "--runs", "many"]),
+        (
+            2,
+            &[
+                "campaign",
+                "--benchmark",
+                "sobel",
+                "--workers",
+                "2",
+                "--seed",
+                "x",
+            ],
+        ),
+        (2, &["campaign", "--benchmark", "sobel", "--tick-ms", "100"]),
+        (2, &["sweep", "--benchmark", "cg", "--bogus"]),
+        (2, &["sweep", "--grid", "4"]),
+        (2, &["sweep", "--benchmark", "cg", "--grid", "four"]),
+        (2, &["figures", "--bogus"]),
+        (2, &["figures"]),
+        (2, &["figures", "fig99"]),
+        (2, &["models", "develop", "--bogus"]),
+        (2, &["models", "develop"]),
+        (2, &["models", "explode", "x"]),
+        (1, &["models", "show", "missing.json"]),
+    ];
+    let dir = scratch_dir("usage");
+    for (code, args) in rows {
+        let output = Command::new(tei_bin())
+            .current_dir(&dir)
+            .env_remove("TEI_JOURNAL_DIR")
+            .args(args)
+            .output()
+            .expect("run tei");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(code),
+            "tei {args:?} exited {}:\n{stderr}",
+            output.status
+        );
+        let expected = if code == 2 {
+            format!("usage: tei {}", args[0])
+        } else {
+            "read model file".to_string()
+        };
+        assert!(
+            stderr.contains(&expected),
+            "tei {args:?} did not report {expected:?}:\n{stderr}"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir).expect("scratch dir").collect();
+        assert!(left.is_empty(), "tei {args:?} wrote {left:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

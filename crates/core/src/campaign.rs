@@ -250,7 +250,7 @@ impl Default for CampaignConfig {
             runs: crate::config::default_runs(),
             seed: 0x7e1_c0de,
             timeout_factor: 2.0,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: crate::config::default_threads(),
             mode: ReplayMode::default(),
             chaos: Chaos::default(),
         }

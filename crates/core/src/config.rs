@@ -324,6 +324,8 @@ mod tests {
         assert!(err.to_string().contains("TEI_THREADS"));
         std::env::set_var("TEI_THREADS", "not-a-number");
         assert!(validate_env().is_err());
+        std::env::set_var("TEI_THREADS", "3");
+        assert_eq!(crate::campaign::CampaignConfig::default().threads, 3);
         std::env::remove_var("TEI_THREADS");
         std::env::set_var("TEI_LANES", "3");
         let err = validate_env().unwrap_err();

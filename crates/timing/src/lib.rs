@@ -54,7 +54,6 @@ mod kernel;
 mod oracle;
 mod sim;
 mod sta;
-mod vcd;
 
 pub use codegen::{emit_program, DynProgram, NetlistProgram, SettlePlan, SpecializedKernel};
 pub use derating::{
@@ -68,4 +67,3 @@ pub use kernel::{ArrivalKernel, CompiledNetlist, Lanes, WINDOW_VECTORS};
 pub use oracle::{SafeBitSet, SlackOracle};
 pub use sim::{ArrivalSim, TwoVectorResult};
 pub use sta::{PathCensus, PathInfo, Sta};
-pub use vcd::{dump_vcd, Change, Waveform};
